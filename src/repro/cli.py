@@ -236,14 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         "to 64k ranks (quick stops at 4096)",
     )
     p.add_argument(
-        "--route-cache-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="override the preset-derived route-cache size of the scale "
-        "suite's network simulators (default: sized from the machine)",
-    )
-    p.add_argument(
         "--kernels",
         choices=["vector", "reference"],
         default=None,
@@ -520,7 +512,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             progress=lambda name: print(f"  timing {name} ...", file=sys.stderr),
             kernels=args.kernels if args.kernels is not None else DEFAULT_KERNELS,
             suite=args.suite,
-            route_cache_size=args.route_cache_size,
         )
     except ValueError as exc:
         print(f"repro bench: {exc}", file=sys.stderr)

@@ -59,7 +59,6 @@ class ProcessorReallocator:
         cost: CostModel | None = None,
         flow_level: bool = False,
         kernels: str = DEFAULT_KERNELS,
-        route_cache_size: int | None = None,
     ) -> None:
         from repro.grid.procgrid import ProcessorGrid
 
@@ -69,14 +68,7 @@ class ProcessorReallocator:
         self.cost = cost or CostModel.for_machine(machine)
         self.grid = ProcessorGrid(*machine.grid)
         self.kernels = check_kernels(kernels)
-        # route_cache_size=None sizes the cache from the machine preset
-        # (see repro.mpisim.netsim.default_route_cache_size)
-        self.simulator = NetworkSimulator(
-            machine.mapping,
-            self.cost,
-            kernels=kernels,
-            route_cache_size=route_cache_size,
-        )
+        self.simulator = NetworkSimulator(machine.mapping, self.cost, kernels=kernels)
         #: live per-link wire load, maintained by message-set deltas at
         #: every adaptation point (O(churned nests), not O(machine))
         self.link_state = LinkLoadState(self.simulator)

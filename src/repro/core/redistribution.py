@@ -107,8 +107,10 @@ def plan_redistribution(
     deleted nests' contributions are retired and each retained nest's is
     replaced by this plan's messages, so after the call the state holds
     exactly this adaptation point's wire traffic without any full
-    recomputation.  The sanitizer (when armed) cross-checks the
-    incremental state against a from-scratch rebuild.
+    recomputation.  Each nest is routed once: the link loads that time
+    its collective are the ones charged to the state.  The sanitizer
+    (when armed) cross-checks the incremental state against a
+    from-scratch rebuild.
     """
     check_kernels(kernels)
     simulator = simulator or NetworkSimulator(machine.mapping, cost, kernels=kernels)
@@ -149,7 +151,22 @@ def plan_redistribution(
             for nid, m in zip(retained, per_nest_msgs)
         }
         predicted = sum(per_nest_predicted.values())
-        measured = measure_redistribution_time(per_nest_msgs, simulator, flow_level)
+        # Each nest is routed once: the same link loads time its collective
+        # here and charge the live link state below.
+        per_nest_loads = (
+            [simulator.link_load_arrays(m) for m in per_nest_msgs]
+            if link_state is not None or not flow_level
+            else []
+        )
+        if flow_level:
+            measured = measure_redistribution_time(
+                per_nest_msgs, simulator, flow_level=True
+            )
+        else:
+            measured = sum(
+                simulator.bottleneck_time(m, link_loads=loads)
+                for m, loads in zip(per_nest_msgs, per_nest_loads)
+            )
     overlap = local_points / total_points if total_points else 1.0
     plan = RedistributionPlan(
         moves=moves,
@@ -165,8 +182,8 @@ def plan_redistribution(
         with recorder.span("redist.link_state", n_moves=len(moves)):
             for nid in sorted(set(old.rects) - set(new.rects)):
                 link_state.retire(nid)
-            for nid, msgs in zip(retained, per_nest_msgs):
-                link_state.update(nid, msgs)
+            for nid, msgs, loads in zip(retained, per_nest_msgs, per_nest_loads):
+                link_state.update(nid, msgs, loads)
     sanitizer = get_sanitizer()
     if sanitizer.enabled:
         sanitizer.after_plan(plan, nest_sizes)

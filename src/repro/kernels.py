@@ -12,6 +12,12 @@ aggregation).  Each ships in two implementations:
   kept as the readable oracle the equivalence suite checks the fast path
   against (see ``tests/test_kernels_equivalence.py``).
 
+Neither mode memoises routes.  A route is closed-form torus (or
+fat-tree) geometry, and one batched ``topology.batch_routes`` call over a
+whole message set costs less than a per-pair memo lookup would; a caller
+that needs the same routing twice computes it once and passes the result
+on (``NetworkSimulator.link_load_arrays``).
+
 **Incremental vs rebuild.** The large-machine scaling work adds a third
 axis: stateful kernels that maintain results by *deltas* instead of
 recomputing them — :class:`~repro.mpisim.netsim.LinkLoadState` applies

@@ -27,11 +27,7 @@ from repro.mpisim.alltoallv import (
     predict_alltoallv_time,
     hop_bytes,
 )
-from repro.mpisim.netsim import (
-    LinkLoadState,
-    NetworkSimulator,
-    default_route_cache_size,
-)
+from repro.mpisim.netsim import LinkLoadState, NetworkSimulator
 from repro.mpisim.ledger import (
     CommLedger,
     PairByteAccumulator,
@@ -57,7 +53,6 @@ __all__ = [
     "hop_bytes",
     "NetworkSimulator",
     "LinkLoadState",
-    "default_route_cache_size",
     "CommLedger",
     "PairByteAccumulator",
     "SkewSummary",

@@ -17,15 +17,20 @@ routing every message over the physical links and accounting for sharing:
 Both account for exactly the effects the paper's diffusion strategy targets:
 fewer bytes on the wire (overlap) and fewer links per byte (hop locality).
 
-Kernel modes (:mod:`repro.kernels`): with ``kernels="vector"`` (default)
-routes for a whole :class:`~repro.mpisim.alltoallv.MessageSet` are
-materialised as one flat link-id array plus CSR offsets
-(:meth:`NetworkSimulator.routes_csr`) and link loads / busiest-link
-contributions reduce via ``np.bincount``; ``kernels="reference"`` keeps the
-original per-message loops as the oracle the equivalence suite checks
-against.  All outputs are bit-for-bit identical across modes — message
-byte counts are integer-valued floats, so the sums are exact in any order
-(see ``docs/performance.md``).
+Routing is closed-form topology geometry and nothing is memoised: every
+call routes its messages afresh.  With ``kernels="vector"`` (default) the
+routes of a whole :class:`~repro.mpisim.alltoallv.MessageSet` come from
+one ``topology.batch_routes`` call as a flat link-id array plus CSR
+offsets (:meth:`NetworkSimulator.routes_csr`), and link loads /
+busiest-link contributions reduce via ``np.bincount``;
+``kernels="reference"`` walks ``topology.route`` per message, kept as the
+oracle the equivalence suite checks against.  A caller that needs a
+message set's link loads twice (the measured time and the live
+:class:`LinkLoadState`) computes them once with
+:meth:`NetworkSimulator.link_load_arrays` and passes them to both.  All
+outputs are bit-for-bit identical across modes — message byte counts are
+integer-valued floats, so the sums are exact in any order (see
+``docs/performance.md``).
 
 Fault hooks (:mod:`repro.faults`): a simulator carries an optional set of
 *degraded links* (per-link bandwidth multipliers in ``(0, 1]``, modelling a
@@ -47,25 +52,7 @@ from repro.mpisim.costmodel import CostModel
 from repro.obs import get_recorder
 from repro.topology.mapping import ProcessMapping
 
-__all__ = ["NetworkSimulator", "LinkLoadState", "default_route_cache_size"]
-
-#: placeholder slice while assembling mixed warm/cold route batches
-_EMPTY_ROUTE = np.empty(0, dtype=np.int64)
-
-
-def default_route_cache_size(nranks: int) -> int:
-    """Route-cache capacity derived from the machine size.
-
-    The historical fixed ``1 << 16`` was tuned for <= 1024-rank presets;
-    at 16k-64k ranks a single adaptation touches more distinct pairs than
-    that, so the FIFO thrashes and every step re-routes from scratch.
-    Scale with the rank count (a rank's redistribution partners are a
-    bounded neighbourhood, ~4 pairs/rank covers the observed working
-    sets) but cap the growth so the cache itself stays bounded in memory.
-    """
-    if nranks <= 0:
-        raise ValueError(f"nranks must be positive, got {nranks}")
-    return min(max(1 << 16, 4 * nranks), 1 << 20)
+__all__ = ["NetworkSimulator", "LinkLoadState"]
 
 
 class NetworkSimulator:
@@ -80,7 +67,6 @@ class NetworkSimulator:
         self,
         mapping: ProcessMapping,
         cost: CostModel,
-        route_cache_size: int | None = None,
         adaptive_routing: bool = False,
         kernels: str = DEFAULT_KERNELS,
     ) -> None:
@@ -88,23 +74,15 @@ class NetworkSimulator:
         self.topology = mapping.topology
         self.cost = cost
         self.kernels = check_kernels(kernels)
-        if route_cache_size is None:
-            route_cache_size = default_route_cache_size(mapping.nranks)
         # Static adaptive routing: vary the torus dimension order per
         # endpoint pair (deterministic hash) to spread link load.  Only
         # meaningful on topologies exposing route_ordered (tori/meshes).
         self.adaptive_routing = adaptive_routing and hasattr(
             mapping.topology, "route_ordered"
         )
-        # Deterministic routes recur constantly across an experiment (the
-        # same rank pairs exchange at every adaptation point), so memoise.
-        # The reference path stores routes as lists, the vector path as
-        # int64 arrays; both caches evict FIFO one entry at a time when
-        # full (dicts preserve insertion order, so the first key is the
-        # oldest), keeping the hit rate high instead of flushing wholesale.
-        self._route_cache: dict[tuple[int, int], list[int]] = {}
-        self._route_cache_vec: dict[tuple[int, int], np.ndarray] = {}
-        self._route_cache_size = route_cache_size
+        # Routing counters under their historical names, still read by
+        # the repository benchmark: nothing is memoised, so hits stay 0
+        # and misses count every message routed.
         self.route_cache_hits = 0
         self.route_cache_misses = 0
         #: link id -> bandwidth multiplier in (0, 1] (1 = healthy)
@@ -139,157 +117,59 @@ class NetworkSimulator:
         self.link_faults.clear()
         self.rank_slowdown.clear()
 
-    # -- route caches ----------------------------------------------------
-
-    def _route(self, src_rank: int, dst_rank: int) -> list[int]:
-        key = (src_rank, dst_rank)
-        cached = self._route_cache.get(key)
-        if cached is None:
-            self.route_cache_misses += 1
-            get_recorder().count("netsim.route_cache_miss")
-            table = self.mapping.table
-            src, dst = int(table[src_rank]), int(table[dst_rank])
-            if self.adaptive_routing:
-                order = self._DIM_ORDERS[(src * 2654435761 + dst) % 6]
-                cached = self.topology.route_ordered(src, dst, order)
-            else:
-                cached = self.topology.route(src, dst)
-            if len(self._route_cache) >= self._route_cache_size:
-                # FIFO: drop only the oldest entry, not the whole cache.
-                self._route_cache.pop(next(iter(self._route_cache)))
-            self._route_cache[key] = cached
-        else:
-            self.route_cache_hits += 1
-            get_recorder().count("netsim.route_cache_hit")
-        return cached
-
-    def clear_route_cache(self) -> None:
-        """Drop every memoised route and reset the hit/miss counters
-        (cold-cache benchmarking)."""
-        self._route_cache.clear()
-        self._route_cache_vec.clear()
-        self.route_cache_hits = 0
-        self.route_cache_misses = 0
-
-    def _batch_missing_routes(
-        self, src_ranks: np.ndarray, dst_ranks: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Compute, cache and return routes for uncached rank pairs.
-
-        Returns the ``(links, offsets)`` CSR over the input pairs, in
-        input order; each pair's slice also lands in the vector route
-        cache (views into the flat array — no copies).
-        """
-        table = self.mapping.table
-        src = table[src_ranks].astype(np.int64)
-        dst = table[dst_ranks].astype(np.int64)
-        if self.adaptive_routing:
-            # Group pairs by their hashed dimension order (six groups) so
-            # each group is one vectorised batch_routes_ordered call.
-            order_idx = (src * 2654435761 + dst) % 6
-            chunks: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * len(src)
-            for o in np.unique(order_idx):
-                sel = np.flatnonzero(order_idx == o)
-                l, off = self.topology.batch_routes_ordered(
-                    src[sel], dst[sel], self._DIM_ORDERS[int(o)]
-                )
-                for j, pos in enumerate(sel):
-                    chunks[int(pos)] = l[off[j] : off[j + 1]]
-            lengths = np.fromiter(
-                (c.shape[0] for c in chunks), dtype=np.int64, count=len(chunks)
-            )
-            offsets = np.zeros(len(chunks) + 1, dtype=np.int64)
-            np.cumsum(lengths, out=offsets[1:])
-            links = (
-                np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-            )
-        else:
-            links, offsets = self.topology.batch_routes(src, dst)
-        cache = self._route_cache_vec
-        cache.update(
-            ((int(s), int(d)), links[offsets[i] : offsets[i + 1]])
-            for i, (s, d) in enumerate(zip(src_ranks, dst_ranks))
-        )
-        while len(cache) > self._route_cache_size:  # FIFO overflow eviction
-            cache.pop(next(iter(cache)))
-        return links, offsets
+    # -- routing ----------------------------------------------------------
 
     def routes_csr(self, messages: MessageSet) -> tuple[np.ndarray, np.ndarray]:
         """Every message's physical route as one flat CSR structure.
 
         Returns ``(links, offsets)``: message ``i`` traverses directed
-        links ``links[offsets[i]:offsets[i + 1]]``, in hop order.  Uncached
-        endpoint pairs are routed in one vectorised batch; cache hit/miss
-        counters advance exactly as the per-message reference path would
-        (first sighting of a pair is a miss, repeats are hits).
+        links ``links[offsets[i]:offsets[i + 1]]``, in hop order.  Routes
+        are closed-form torus/fat-tree geometry, computed for the whole
+        set in one vectorised ``batch_routes`` call (one per dimension
+        order under adaptive routing).
         """
-        n = len(messages)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        if n == 0:
-            return np.empty(0, dtype=np.int64), offsets
-        nranks = self.mapping.nranks
-        keys = messages.src.astype(np.int64) * nranks + messages.dst.astype(np.int64)
-        uniq, inv = np.unique(keys, return_inverse=True)
-        uniq_src = uniq // nranks
-        uniq_dst = uniq % nranks
-        cache = self._route_cache_vec
-        if not cache:  # cold cache: everything is missing, skip the probe
-            missing = np.ones(len(uniq), dtype=bool)
-        else:
-            missing = np.fromiter(
-                (
-                    (int(s), int(d)) not in cache
-                    for s, d in zip(uniq_src, uniq_dst)
-                ),
-                dtype=bool,
-                count=len(uniq),
+        self.route_cache_misses += len(messages)
+        table = self.mapping.table
+        src = table[np.asarray(messages.src, dtype=np.int64)]
+        dst = table[np.asarray(messages.dst, dtype=np.int64)]
+        if not self.adaptive_routing:
+            return self.topology.batch_routes(src, dst)
+        # Group messages by their hashed dimension order (at most six
+        # groups), route each group in one call, then scatter every
+        # group's hops into its messages' slots of the output CSR.
+        order_idx = (src * 2654435761 + dst) % 6
+        groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        lengths = np.zeros(len(messages), dtype=np.int64)
+        for o in np.unique(order_idx):
+            sel = np.flatnonzero(order_idx == o)
+            links, offs = self.topology.batch_routes_ordered(
+                src[sel], dst[sel], self._DIM_ORDERS[int(o)]
             )
-        n_missing = int(missing.sum())
-        self.route_cache_misses += n_missing
-        self.route_cache_hits += n - n_missing
-        rec = get_recorder()
-        if n_missing:
-            rec.count("netsim.route_cache_miss", float(n_missing))
-        if n > n_missing:
-            rec.count("netsim.route_cache_hit", float(n - n_missing))
-        if n_missing == len(uniq):
-            # Every pair just came out of one batch call whose output is
-            # already the per-pair CSR — no per-pair reassembly needed.
-            flat_pairs, pair_offs = self._batch_missing_routes(uniq_src, uniq_dst)
-            pair_len = np.diff(pair_offs)
-            pair_off = pair_offs[:-1]
-        else:
-            # Hit routes are snapshotted *before* the batch call: its FIFO
-            # overflow eviction may drop them (or even just-inserted missing
-            # pairs, when the batch itself exceeds the cache) from the cache
-            # before reassembly, so nothing below re-reads the cache.
-            per_pair: list[np.ndarray] = [
-                _EMPTY_ROUTE if m else cache[(int(s), int(d))]
-                for m, s, d in zip(missing.tolist(), uniq_src, uniq_dst)
-            ]
-            if n_missing:
-                mlinks, moffs = self._batch_missing_routes(
-                    uniq_src[missing], uniq_dst[missing]
-                )
-                for j, i in enumerate(np.flatnonzero(missing).tolist()):
-                    per_pair[i] = mlinks[moffs[j] : moffs[j + 1]]
-            pair_len = np.fromiter(
-                (r.shape[0] for r in per_pair), dtype=np.int64, count=len(per_pair)
-            )
-            pair_off = np.concatenate(([0], np.cumsum(pair_len)[:-1]))
-            flat_pairs = np.concatenate(per_pair)
-        np.cumsum(pair_len[inv], out=offsets[1:])
-        total = int(offsets[-1])
-        if total == 0:
-            return np.empty(0, dtype=np.int64), offsets
-        # Gather each message's route out of the unique-pair concatenation.
-        msg_len = pair_len[inv]
-        src_pos = np.repeat(pair_off[inv], msg_len)
-        k = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], msg_len)
-        return flat_pairs[src_pos + k], offsets
+            lengths[sel] = np.diff(offs)
+            groups.append((sel, links, offs))
+        offsets = np.zeros(len(messages) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        out = np.empty(int(offsets[-1]), dtype=np.int64)
+        for sel, links, offs in groups:
+            hops = np.diff(offs)
+            out[
+                np.repeat(offsets[sel] - offs[:-1], hops)
+                + np.arange(links.size, dtype=np.int64)
+            ] = links
+        return out, offsets
+
+    def _route(self, src_rank: int, dst_rank: int) -> list[int]:
+        """Physical route (link ids) of one rank pair, walked hop by hop."""
+        table = self.mapping.table
+        src, dst = int(table[src_rank]), int(table[dst_rank])
+        if self.adaptive_routing:
+            order = self._DIM_ORDERS[(src * 2654435761 + dst) % 6]
+            return self.topology.route_ordered(src, dst, order)
+        return self.topology.route(src, dst)
 
     def _routes_reference(self, messages: MessageSet) -> list[list[int]]:
         """Physical route (link ids) of every message (reference path)."""
+        self.route_cache_misses += len(messages)
         return [
             self._route(int(s), int(d))
             for s, d in zip(messages.src, messages.dst)
@@ -297,10 +177,23 @@ class NetworkSimulator:
 
     # -- link loads -------------------------------------------------------
 
-    def _link_load_arrays(
+    def link_load_arrays(
         self, messages: MessageSet
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Loaded links and their byte totals as sorted parallel arrays."""
+        """Loaded links and their byte totals as sorted parallel arrays.
+
+        This is one message set's whole contribution to the wire: the
+        measured time (:meth:`bottleneck_time`) and the live link state
+        (:meth:`LinkLoadState.update`) both consume it, so a caller that
+        needs both routes the messages once.
+        """
+        if self.kernels == "reference":
+            ref = self._link_loads_reference(messages)
+            links = np.fromiter(sorted(ref), dtype=np.int64, count=len(ref))
+            vals = np.fromiter(
+                (ref[int(link)] for link in links), dtype=np.float64, count=len(ref)
+            )
+            return links, vals
         links, offsets = self.routes_csr(messages)
         if links.size == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
@@ -321,7 +214,7 @@ class NetworkSimulator:
         """Total bytes crossing each directed link (only loaded links)."""
         if self.kernels == "reference":
             return self._link_loads_reference(messages)
-        links, loads = self._link_load_arrays(messages)
+        links, loads = self.link_load_arrays(messages)
         return dict(zip(links.tolist(), loads.tolist()))
 
     def busiest_link_contributions(
@@ -473,46 +366,41 @@ class NetworkSimulator:
         worst_bytes = float(np.maximum(out_bytes, in_bytes).max())
         return self.cost.alpha * worst_msgs + self.cost.soft_beta * worst_bytes + floor
 
-    def bottleneck_time(self, messages: MessageSet, include_floor: bool = True) -> float:
+    def bottleneck_time(
+        self,
+        messages: MessageSet,
+        include_floor: bool = True,
+        *,
+        link_loads: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> float:
         """Contention-aware lower-bound completion time (the default
         "measured" value).
 
         Wire phase: the most loaded link drains its ``max_link_load · β``
         bytes.  Software phase: the busiest endpoint packs/unpacks its
         bytes (``soft_β``), pays ``α`` per message, and every rank walks the
-        full communicator's count arrays (``soft_α · P``).
+        full communicator's count arrays (``soft_α · P``).  ``link_loads``
+        is ``messages``' :meth:`link_load_arrays`, when the caller already
+        has it; otherwise the messages are routed here.
         """
         if len(messages) == 0:
             return 0.0
         with get_recorder().span("netsim.bottleneck", n_messages=len(messages)):
-            if self.kernels == "reference":
-                loads = self._link_loads_reference(messages)
-                wire = 0.0
-                if loads:
-                    if self.link_faults:
-                        # a degraded link drains its bytes at factor x bandwidth
-                        drain = max(
-                            load / self.link_faults.get(link, 1.0)
-                            for link, load in loads.items()
-                        )
-                    else:
-                        drain = max(loads.values())
-                    wire = drain * self.cost.beta
-                return wire + self._endpoint_overhead(messages, include_floor)
-            links_arr, loads_arr = self._link_load_arrays(messages)
+            links, loads = (
+                self.link_load_arrays(messages) if link_loads is None else link_loads
+            )
             wire = 0.0
-            if loads_arr.size:
+            if loads.size:
                 if self.link_faults:
-                    drain_arr = loads_arr.copy()
-                    # Sorted loaded-link ids let each fault resolve by
-                    # binary search; the fault set is small.
+                    # a degraded link drains its bytes at factor x bandwidth;
+                    # sorted loaded-link ids let each fault resolve by
+                    # binary search (the fault set is small)
+                    loads = loads.copy()
                     for link, factor in self.link_faults.items():
-                        idx = int(np.searchsorted(links_arr, link))
-                        if idx < links_arr.size and links_arr[idx] == link:
-                            drain_arr[idx] /= factor
-                    wire = float(drain_arr.max()) * self.cost.beta
-                else:
-                    wire = float(loads_arr.max()) * self.cost.beta
+                        idx = int(np.searchsorted(links, link))
+                        if idx < links.size and links[idx] == link:
+                            loads[idx] /= factor
+                wire = float(loads.max()) * self.cost.beta
             return wire + self._endpoint_overhead(messages, include_floor)
 
     # ------------------------------------------------------------------
@@ -697,21 +585,22 @@ class LinkLoadState:
         self._vals.clear()
         self._messages.clear()
 
-    def _contribution(self, messages: MessageSet) -> tuple[np.ndarray, np.ndarray]:
-        """``(sorted link ids, byte totals)`` of one message set."""
-        if self.simulator.kernels == "reference":
-            ref = self.simulator._link_loads_reference(messages)
-            links = np.fromiter(sorted(ref), dtype=np.int64, count=len(ref))
-            vals = np.fromiter(
-                (ref[int(link)] for link in links), dtype=np.float64, count=len(ref)
-            )
-            return links, vals
-        return self.simulator._link_load_arrays(messages)
+    def update(
+        self,
+        key: int,
+        messages: MessageSet,
+        link_loads: tuple[np.ndarray, np.ndarray],
+    ) -> None:
+        """Charge ``key`` with ``messages``, replacing any prior charge.
 
-    def update(self, key: int, messages: MessageSet) -> None:
-        """Charge ``key`` with ``messages``, replacing any prior charge."""
+        ``link_loads`` is ``messages``' contribution as returned by
+        :meth:`NetworkSimulator.link_load_arrays` — the caller has it
+        already from timing the same messages.  :meth:`rebuild` re-derives
+        it from the messages, so a mismatched pair cannot go unnoticed
+        under the sanitizer.
+        """
         self.retire(key)
-        links, vals = self._contribution(messages)
+        links, vals = link_loads
         self._links[key] = links
         self._vals[key] = vals
         self._messages[key] = messages
@@ -733,22 +622,9 @@ class LinkLoadState:
         Routes every active message set again and sums.  The incremental
         array must equal this bit-for-bit; the sanitizer checks it does.
         """
-        if self.simulator.kernels == "reference":
-            return self._rebuild_reference()
-        return self._rebuild_vector()
-
-    def _rebuild_reference(self) -> np.ndarray:
         loads = np.zeros_like(self.loads)
         for key in sorted(self._messages):
-            ref = self.simulator._link_loads_reference(self._messages[key])
-            for link, nbytes in ref.items():
-                loads[link] += nbytes
-        return loads
-
-    def _rebuild_vector(self) -> np.ndarray:
-        loads = np.zeros_like(self.loads)
-        for key in sorted(self._messages):
-            links, vals = self.simulator._link_load_arrays(self._messages[key])
+            links, vals = self.simulator.link_load_arrays(self._messages[key])
             loads[links] += vals
         return loads
 

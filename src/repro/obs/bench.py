@@ -16,10 +16,10 @@ phase                       what it times
 ``tree.scratch``            Huffman build + rectangle layout (§IV-A)
 ``tree.diffusion``          Algorithm-3 tree edit + layout (§IV-B)
 ``grid.transfer_matrix``    per-nest transfer-matrix construction
-``netsim.link_loads``       per-link byte accounting (cold route cache)
+``netsim.link_loads``       routing + per-link byte accounting
 ``netsim.bottleneck``       contention-aware alltoallv timing
 ``netsim.flow``             max-min-fair flow simulation
-``redist.plan``             full redistribution planning (cold route cache)
+``redist.plan``             full redistribution planning
 ``dataplane.roundtrip``     scatter → executed redistribution → gather
 ``e2e.compare``             the ``repro compare`` path, scratch + diffusion
 ``serve.throughput``        a session fleet through the async scheduler
@@ -41,8 +41,7 @@ machine presets from 1k to 64k ranks (``scale.ranks_*``, time vs ranks),
 at a fixed 4096-rank preset across nest counts (``scale.nests_*``, time
 vs nests), and sparse pair-byte ledger accounting (``scale.ledger_pairs``,
 quick: 4k ranks, full: 64k).  Quick mode stops at 4096 ranks (the CI
-``scale-smoke`` gate); ``--route-cache-size`` overrides the
-preset-derived route-cache sizing for its simulators.
+``scale-smoke`` gate).
 
 This module lives in ``repro.obs`` and is therefore allowed to read raw
 clocks (reprolint R007); every other module must report time through
@@ -343,7 +342,6 @@ def _setup_netsim_link_loads(quick: bool, kernels: str) -> Callable[[], object]:
     sim, msgs = _message_fixture(quick, kernels)
 
     def run() -> object:
-        sim.clear_route_cache()  # time routing + accumulation, not cache hits
         return sim.link_loads(msgs)
 
     return run
@@ -353,7 +351,6 @@ def _setup_netsim_bottleneck(quick: bool, kernels: str) -> Callable[[], object]:
     sim, msgs = _message_fixture(quick, kernels)
 
     def run() -> object:
-        sim.clear_route_cache()  # time routing + contention, not cache hits
         return sim.bottleneck_time(msgs)
 
     return run
@@ -375,7 +372,6 @@ def _setup_redist_plan(quick: bool, kernels: str) -> Callable[[], object]:
     pair = _allocation_pair(quick, kernels)
 
     def run() -> object:
-        pair.simulator.clear_route_cache()  # plan cold, like a fresh step
         return plan_redistribution(
             pair.old,
             pair.new,
@@ -604,12 +600,12 @@ def bench_phases() -> tuple[BenchPhase, ...]:
         ),
         BenchPhase(
             "netsim.link_loads",
-            "per-link byte accounting (cold route cache)",
+            "routing + per-link byte accounting",
             _setup_netsim_link_loads,
         ),
         BenchPhase(
             "netsim.bottleneck",
-            "contention-aware alltoallv timing (cold route cache)",
+            "contention-aware alltoallv timing",
             _setup_netsim_bottleneck,
         ),
         BenchPhase(
@@ -619,7 +615,7 @@ def bench_phases() -> tuple[BenchPhase, ...]:
         ),
         BenchPhase(
             "redist.plan",
-            "full redistribution planning (cold route cache)",
+            "full redistribution planning",
             _setup_redist_plan,
         ),
         BenchPhase(
@@ -683,7 +679,7 @@ def _scale_nests(n: int, phase: int) -> dict[int, tuple[int, int]]:
 
 
 def _scale_step_setup(
-    machine_name: str, n_nests: int, route_cache_size: int | None
+    machine_name: str, n_nests: int
 ) -> Callable[[bool, str], Callable[[], object]]:
     """One steady-state adaptation step on ``machine_name``.
 
@@ -701,11 +697,7 @@ def _scale_step_setup(
         machine = MACHINES[machine_name]
         predictor = ExecTimePredictor(ProfileTable(ExecutionOracle()))
         realloc = ProcessorReallocator(
-            machine,
-            DiffusionStrategy(),
-            predictor,
-            kernels=kernels,
-            route_cache_size=route_cache_size,
+            machine, DiffusionStrategy(), predictor, kernels=kernels
         )
         realloc.step(_scale_nests(n_nests, 0))
         state = {"phase": 0}
@@ -744,9 +736,7 @@ def _setup_scale_ledger(quick: bool, kernels: str) -> Callable[[], object]:
     return run
 
 
-def scale_phases(
-    quick: bool = False, route_cache_size: int | None = None
-) -> tuple[BenchPhase, ...]:
+def scale_phases(quick: bool = False) -> tuple[BenchPhase, ...]:
     """The large-machine scaling suite.
 
     ``scale.ranks_*`` holds the nest count fixed and walks the machine
@@ -759,7 +749,7 @@ def scale_phases(
         BenchPhase(
             f"scale.ranks_{tag}",
             f"steady-state adaptation step, {_SCALE_FIXED_NESTS} nests, {name}",
-            _scale_step_setup(name, _SCALE_FIXED_NESTS, route_cache_size),
+            _scale_step_setup(name, _SCALE_FIXED_NESTS),
         )
         for tag, name in rank_machines
     ]
@@ -767,7 +757,7 @@ def scale_phases(
         BenchPhase(
             f"scale.nests_{n}",
             f"steady-state adaptation step, {n} nests, {_SCALE_NEST_MACHINE}",
-            _scale_step_setup(_SCALE_NEST_MACHINE, n, route_cache_size),
+            _scale_step_setup(_SCALE_NEST_MACHINE, n),
         )
         for n in _SCALE_NEST_COUNTS
     )
@@ -793,7 +783,6 @@ def run_bench(
     progress: Callable[[str], None] | None = None,
     kernels: str = DEFAULT_KERNELS,
     suite: str = "default",
-    route_cache_size: int | None = None,
 ) -> BenchResult:
     """Run the suite and aggregate per-phase wall-clock stats.
 
@@ -803,9 +792,7 @@ def run_bench(
     implementation (:mod:`repro.kernels`) for every phase and is recorded
     in the result header.  ``suite`` picks ``"default"`` (the pinned
     hot-path baseline) or ``"scale"`` (the large-machine scaling
-    curves); ``route_cache_size`` overrides the preset-derived route
-    cache of the scale suite's simulators and is rejected elsewhere so
-    it can never silently do nothing.
+    curves).
     """
     check_kernels(kernels)
     if repeats is None:
@@ -813,19 +800,10 @@ def run_bench(
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     if suite == "default":
-        if route_cache_size is not None:
-            raise ValueError(
-                "route_cache_size only applies to the scale suite "
-                "(the default suite sizes caches from the machine preset)"
-            )
         suite_phases = bench_phases()
         machine = _QUICK_MACHINE if quick else _FULL_MACHINE
     elif suite == "scale":
-        if route_cache_size is not None and route_cache_size < 1:
-            raise ValueError(
-                f"route_cache_size must be >= 1, got {route_cache_size}"
-            )
-        suite_phases = scale_phases(quick, route_cache_size)
+        suite_phases = scale_phases(quick)
         machine = "scale"
     else:
         raise ValueError(

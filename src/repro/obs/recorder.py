@@ -3,7 +3,7 @@
 The whole library reports *where wall-clock time goes* through one tiny
 protocol: a :class:`Recorder` hands out context-managed **spans** (nested
 timed regions tagged with step/strategy/nest ids), accumulates
-**counters** (monotonic event counts such as route-cache misses) and
+**counters** (monotonic event counts) and
 stores **gauges** (last-value measurements such as live nest counts).
 
 Two implementations ship:

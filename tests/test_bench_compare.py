@@ -222,7 +222,6 @@ class TestCliBenchCompare:
             progress=None,
             kernels="vector",
             suite="default",
-            route_cache_size=None,
         ):
             return _result(medians, quick=quick)
 

@@ -33,12 +33,10 @@ class TestParser:
         assert args.quick and args.repeats == 2 and args.phases == ["tree.scratch"]
 
     def test_bench_scale_args(self):
-        args = build_parser().parse_args(
-            ["bench", "--quick", "--suite", "scale", "--route-cache-size", "4096"]
-        )
-        assert args.suite == "scale" and args.route_cache_size == 4096
+        args = build_parser().parse_args(["bench", "--quick", "--suite", "scale"])
+        assert args.suite == "scale"
         default = build_parser().parse_args(["bench", "--quick"])
-        assert default.suite == "default" and default.route_cache_size is None
+        assert default.suite == "default"
 
     def test_bench_scale_default_output_is_scale_baseline(
         self, tmp_path, monkeypatch, capsys

@@ -14,7 +14,7 @@ from repro.core import (
     summarize_improvement,
 )
 from repro.grid import ProcessorGrid, Rect
-from repro.mpisim import CostModel
+from repro.mpisim import CostModel, LinkLoadState, NetworkSimulator
 from repro.perfmodel import ExecTimePredictor, ExecutionOracle, ProfileTable
 from repro.topology import blue_gene_l, fist_cluster
 from repro.tree import build_huffman
@@ -133,6 +133,34 @@ class TestPlanRedistribution:
         assert plan.predicted_time == 0.0
         assert plan.measured_time == 0.0
         assert plan.network_bytes == 0.0
+
+    def test_each_nest_routed_once_with_link_state(self, machine, monkeypatch):
+        """The measured time and the live link state share one routing:
+        each retained nest's messages pass through ``batch_routes`` once."""
+        old, new = self._allocs()
+        cost = CostModel.for_machine(machine)
+        sizes = {i: (240, 180) for i in range(1, 7)}
+        sim = NetworkSimulator(machine.mapping, cost)
+        state = LinkLoadState(sim)
+        topology = machine.mapping.topology
+        batch_routes = topology.batch_routes
+        calls = []
+
+        def counting_batch_routes(src, dst):
+            calls.append((src.tolist(), dst.tolist()))
+            return batch_routes(src, dst)
+
+        monkeypatch.setattr(topology, "batch_routes", counting_batch_routes)
+        plan = plan_redistribution(
+            old, new, sizes, machine, cost, sim, link_state=state
+        )
+        table = machine.mapping.table
+        assert calls == [
+            (table[m.messages.src].tolist(), table[m.messages.dst].tolist())
+            for m in plan.moves
+        ]
+        assert state.active_keys == plan.retained_nests
+        np.testing.assert_array_equal(state.loads, state.rebuild())
 
     def test_missing_size_raises(self, machine):
         old, new = self._allocs()

@@ -200,102 +200,6 @@ class TestBusiestLinkContributions:
         assert sum(contributions.values()) == pytest.approx(load)
 
 
-class TestRouteCacheCounters:
-    """Satellite: hit/miss counters, reset by clear_route_cache()."""
-
-    def test_miss_then_hit(self):
-        sim, _ = _sim()
-        assert sim.route_cache_hits == 0 and sim.route_cache_misses == 0
-        msgs = msgset([(0, 9, 10.0)])
-        sim.bottleneck_time(msgs)
-        assert sim.route_cache_misses == 1
-        assert sim.route_cache_hits == 0
-        sim.bottleneck_time(msgs)  # same pair again: served from cache
-        assert sim.route_cache_misses == 1
-        assert sim.route_cache_hits == 1
-
-    def test_clear_resets_counters(self):
-        sim, _ = _sim()
-        msgs = msgset([(0, 9, 10.0), (3, 4, 10.0)])
-        sim.bottleneck_time(msgs)
-        sim.bottleneck_time(msgs)
-        assert sim.route_cache_misses == 2 and sim.route_cache_hits == 2
-        sim.clear_route_cache()
-        assert sim.route_cache_hits == 0
-        assert sim.route_cache_misses == 0
-        sim.bottleneck_time(msgs)  # cache is genuinely cold again
-        assert sim.route_cache_misses == 2 and sim.route_cache_hits == 0
-
-
-class TestRouteCacheFifoEviction:
-    """Satellite: a full route cache evicts one oldest entry (FIFO), not
-    the whole table — recently-used routes keep hitting after overflow."""
-
-    def _bounded_sim(self, kernels):
-        machine = blue_gene_l(64)
-        return NetworkSimulator(
-            machine.mapping,
-            CostModel.for_machine(machine),
-            route_cache_size=8,
-            kernels=kernels,
-        )
-
-    @pytest.mark.parametrize("kernels", ["vector", "reference"])
-    def test_cache_stays_bounded(self, kernels):
-        sim = self._bounded_sim(kernels)
-        for dst in range(1, 20):  # 19 distinct pairs through an 8-slot cache
-            sim.link_loads(msgset([(0, dst, 8.0)]))
-        cache = sim._route_cache_vec if kernels == "vector" else sim._route_cache
-        assert len(cache) == 8
-        # the cache holds exactly the 8 most recent pairs, oldest gone
-        assert set(cache) == {(0, dst) for dst in range(12, 20)}
-
-    @pytest.mark.parametrize("kernels", ["vector", "reference"])
-    def test_recent_routes_hit_after_overflow(self, kernels):
-        sim = self._bounded_sim(kernels)
-        for dst in range(1, 12):  # overflows the 8-slot cache three times
-            sim.link_loads(msgset([(0, dst, 8.0)]))
-        assert sim.route_cache_misses == 11 and sim.route_cache_hits == 0
-        # a recent pair is still cached: pre-fix this flushed wholesale,
-        # so *every* pair — recent included — missed after an overflow
-        sim.link_loads(msgset([(0, 11, 8.0)]))
-        assert sim.route_cache_hits == 1
-        assert sim.route_cache_misses == 11
-        # the oldest pair was the one evicted and misses again
-        sim.link_loads(msgset([(0, 1, 8.0)]))
-        assert sim.route_cache_misses == 12
-
-    def test_mixed_batch_survives_eviction_of_probed_hits(self):
-        """Regression: a warm/cold batch whose cold routes overflow the
-        cache used to evict the probed-hit entries between the membership
-        probe and reassembly (KeyError). Results must also still match
-        the scalar oracle."""
-        sim = self._bounded_sim("vector")
-        warm = msgset([(0, dst, 8.0) for dst in range(1, 7)])  # 6 of 8 slots
-        sim.link_loads(warm)
-        # 6 warm pairs + 10 cold pairs: caching the cold routes evicts
-        # every warm entry while their routes are being reassembled
-        mixed = msgset(
-            [(0, dst, 8.0) for dst in range(1, 7)]
-            + [(1, dst, 16.0) for dst in range(10, 20)]
-        )
-        loads = sim.link_loads(mixed)
-        assert sim.route_cache_hits == 6
-        assert len(sim._route_cache_vec) == 8
-        ref = self._bounded_sim("reference")
-        assert loads == ref.link_loads(mixed)
-
-    def test_batched_insert_evicts_only_overflow(self):
-        sim = self._bounded_sim("vector")
-        # one 12-pair batch through an 8-slot cache: all 12 are misses,
-        # then only the 4 oldest of the batch are dropped
-        msgs = msgset([(0, dst, 8.0) for dst in range(1, 13)])
-        sim.link_loads(msgs)
-        assert sim.route_cache_misses == 12
-        assert len(sim._route_cache_vec) == 8
-        assert set(sim._route_cache_vec) == {(0, dst) for dst in range(5, 13)}
-
-
 class TestCommSkewReport:
     def test_report_runs_both_strategies(self):
         from repro.experiments import comm_skew_report

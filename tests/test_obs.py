@@ -485,15 +485,11 @@ class TestBench:
         )
         assert payload["machine"] == "scale"
 
-    def test_suite_and_route_cache_validation(self):
+    def test_suite_validation(self):
         from repro.obs.bench import run_bench
 
         with pytest.raises(ValueError, match="suite"):
             run_bench(quick=True, suite="nope")
-        with pytest.raises(ValueError, match="route"):
-            run_bench(quick=True, route_cache_size=4096)  # default suite
-        with pytest.raises(ValueError, match="route"):
-            run_bench(quick=True, suite="scale", route_cache_size=0)
 
 
 class TestExporterEdgeCases:
@@ -524,16 +520,16 @@ class TestExporterEdgeCases:
 
     def test_counters_and_gauges_only(self):
         rec = InMemoryRecorder()
-        rec.count("netsim.route_cache_miss", 3)
+        rec.count("example.counter", 3)
         rec.gauge("nests.live", 7)
         doc = json.loads(json.dumps(chrome_trace(rec)))
         assert [e["ph"] for e in doc["traceEvents"]] == ["M"]
         snap = metrics_snapshot(rec)
         assert snap["spans"] == {}
-        assert snap["counters"] == {"netsim.route_cache_miss": 3}
+        assert snap["counters"] == {"example.counter": 3}
         assert snap["gauges"] == {"nests.live": 7}
         text = format_report(rec)
-        assert "netsim.route_cache_miss" in text and "nests.live" in text
+        assert "example.counter" in text and "nests.live" in text
 
     def test_write_chrome_trace_empty(self, tmp_path):
         path = write_chrome_trace(InMemoryRecorder(), tmp_path / "empty.json")

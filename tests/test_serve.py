@@ -3,14 +3,18 @@
 The cross-session isolation regression in ``TestSessionIsolation`` is
 the load-bearing one: interleaving two same-spec sessions step by step
 must produce *bit-identical* flight logs to running each alone, which
-fails immediately if any fixture (route cache, ledger, recorder, RNG)
+fails immediately if any fixture (link state, ledger, recorder, RNG)
 leaks between sessions.
 """
 
 from __future__ import annotations
 
 import asyncio
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +179,39 @@ class TestSessionIsolation:
         for idx in (0, 31, 63):  # spot-check determinism under concurrency
             expected = self._sequential_signature(specs[idx])
             assert flight_signature(sessions[idx].events()) == expected
+
+
+class TestHashSeedDeterminism:
+    """A run's decisions must not depend on Python's string-hash seed:
+    no routing, accounting or tie-break may iterate a set or dict in an
+    order the seed can change."""
+
+    _SCRIPT = (
+        "from repro.serve import ScenarioSpec, Session, flight_signature\n"
+        "s = Session('h', ScenarioSpec(workload='mumbai', steps=6, seed=3))\n"
+        "s.run_to_completion()\n"
+        "print(repr(flight_signature(s.events())))\n"
+    )
+
+    def test_flight_signature_identical_across_hash_seeds(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", self._SCRIPT],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            )
+            for seed in ("1", "2", "3")
+        ]
+        outputs = []
+        for proc in procs:
+            out, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err
+            outputs.append(out)
+        assert "adapt.start" in outputs[0]
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 class TestSessionStore:
