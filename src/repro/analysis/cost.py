@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.parallel_nnc import count_distance_evaluations
-from repro.analysis.pda import PDAConfig, _assign_files
+from repro.analysis.pda import PDAConfig, assign_files
 from repro.analysis.records import SplitFile
 from repro.grid.procgrid import ProcessorGrid
 from repro.util.validation import check_positive
@@ -80,7 +80,7 @@ def pda_cost_profile(
     """Work profile of one PDA invocation (without re-running the scan)."""
     check_positive("n_analysis", n_analysis)
     config = config or PDAConfig()
-    buckets = _assign_files(files, sim_grid, n_analysis)
+    buckets = assign_files(files, sim_grid, n_analysis)
     per_rank_points = [sum(f.qcloud.size for f in bucket) for bucket in buckets]
     summaries = []
     for f in files:

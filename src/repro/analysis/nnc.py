@@ -21,6 +21,7 @@ no mean guard — whose clusters can overlap in space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from statistics import fmean
 
 from repro.analysis.records import SubdomainSummary
@@ -52,28 +53,86 @@ def _passes_thresholds(element: SubdomainSummary, config: NNCConfig) -> bool:
     )
 
 
-def _distance_ok(
-    element: SubdomainSummary,
-    member: SubdomainSummary,
-    cluster: list[SubdomainSummary],
-    hop: int,
-    mean_deviation: float | None,
-) -> bool:
-    """The paper's DISTANCE function (Algorithm 2, lines 22–31).
+def _mean_ok(qclouds: list[float], qcloud: float, mean_deviation: float) -> bool:
+    """The mean test of the paper's DISTANCE function (Algorithm 2, 22–31).
 
-    True when ``element`` is exactly ``hop`` away from ``member`` and adding
-    it moves the cluster's mean QCLOUD by at most ``mean_deviation``
-    (no mean test when ``mean_deviation`` is None — the Fig. 9a baseline).
+    True when adding ``qcloud`` to a cluster whose members' QCLOUD values
+    are ``qclouds`` moves its mean by at most ``mean_deviation`` of the
+    old mean.
     """
-    if element.hop_distance(member) != hop:
-        return False
-    if mean_deviation is None:
-        return True
-    old_mean = fmean(m.qcloud for m in cluster)
-    new_mean = fmean([m.qcloud for m in cluster] + [element.qcloud])
+    old_mean = fmean(qclouds)
+    new_mean = fmean(qclouds + [qcloud])
     if old_mean == 0:
         return new_mean == 0
     return abs(new_mean - old_mean) <= mean_deviation * abs(old_mean)
+
+
+@cache
+def _band_offsets(lo: int, hi: int) -> tuple[tuple[int, int], ...]:
+    """Cell offsets ``lo..hi`` hops (Chebyshev) from the origin."""
+    return tuple(
+        (dx, dy)
+        for dx in range(-hi, hi + 1)
+        for dy in range(-hi, hi + 1)
+        if max(abs(dx), abs(dy)) >= lo
+    )
+
+
+def _ids_within(
+    cells: dict[tuple[int, int], list[int]], x: int, y: int, lo: int, hi: int
+) -> list[int]:
+    """Ids of clusters with a member ``lo..hi`` hops from ``(x, y)``, ascending.
+
+    Looks up the cells of the Chebyshev band around ``(x, y)``, or scans
+    the occupied cells when there are fewer of those than band cells.
+    """
+    ids: set[int] = set()
+    if (2 * hi + 1) ** 2 <= len(cells):
+        for dx, dy in _band_offsets(lo, hi):
+            cell_ids = cells.get((x + dx, y + dy))
+            if cell_ids:
+                ids.update(cell_ids)
+    else:
+        for (cx, cy), cell_ids in cells.items():
+            if lo <= max(abs(cx - x), abs(cy - y)) <= hi:
+                ids.update(cell_ids)
+    return sorted(ids)
+
+
+def _grow_clusters(
+    elements: list[SubdomainSummary],
+    hop_bands: list[tuple[int, int]],
+    mean_deviation: float | None,
+) -> list[list[SubdomainSummary]]:
+    """Greedy proximity clustering over a block-cell index of cluster ids.
+
+    Each element joins the first cluster, in creation order, that has a
+    member within the first hop band yielding one and passes the mean test
+    (none when ``mean_deviation`` is None); otherwise it founds a cluster.
+    This is the linear scan of Algorithm 2 over every member of every
+    cluster, restricted to the cells a member could occupy.
+    """
+    clusters: list[list[SubdomainSummary]] = []
+    qclouds: list[list[float]] = []  # members' QCLOUD, per cluster
+    cells: dict[tuple[int, int], list[int]] = {}
+    for element in elements:
+        x, y, q = element.block_x, element.block_y, element.qcloud
+        target = None
+        for lo, hi in hop_bands:
+            for cid in _ids_within(cells, x, y, lo, hi):
+                if mean_deviation is None or _mean_ok(qclouds[cid], q, mean_deviation):
+                    target = cid
+                    break
+            if target is not None:
+                break
+        if target is None:
+            target = len(clusters)
+            clusters.append([])
+            qclouds.append([])
+        clusters[target].append(element)
+        qclouds[target].append(q)
+        cells.setdefault((x, y), []).append(target)
+    return clusters
 
 
 def nearest_neighbour_clustering(
@@ -87,33 +146,18 @@ def nearest_neighbour_clustering(
     """
     config = config or NNCConfig()
     with get_recorder().span("analysis.nnc", n_elements=len(qcloudinfo)):
-        clusters: list[list[SubdomainSummary]] = []
-        last_accepted: SubdomainSummary | None = None
-        for element in qcloudinfo:
-            if not _passes_thresholds(element, config):
-                continue
-            if last_accepted is not None and last_accepted.qcloud < element.qcloud:
-                raise ValueError(
-                    "qcloudinfo must be sorted in non-increasing QCLOUD order "
-                    "(Algorithm 1 sorts before clustering)"
-                )
-            last_accepted = element
-            placed = False
-            # 1-hop ring first, then 2-hop — never 2-hop before 1-hop.
-            for hop in range(1, config.max_hops + 1):
-                for cluster in clusters:
-                    if any(
-                        _distance_ok(element, member, cluster, hop, config.mean_deviation)
-                        for member in cluster
-                    ):
-                        cluster.append(element)
-                        placed = True
-                        break
-                if placed:
-                    break
-            if not placed:
-                clusters.append([element])
-        return clusters
+        elements = [e for e in qcloudinfo if _passes_thresholds(e, config)]
+        if any(a.qcloud < b.qcloud for a, b in zip(elements, elements[1:])):
+            raise ValueError(
+                "qcloudinfo must be sorted in non-increasing QCLOUD order "
+                "(Algorithm 1 sorts before clustering)"
+            )
+        # 1-hop ring first, then 2-hop — never 2-hop before 1-hop.
+        return _grow_clusters(
+            elements,
+            [(hop, hop) for hop in range(1, config.max_hops + 1)],
+            config.mean_deviation,
+        )
 
 
 def simple_two_hop_clustering(
@@ -128,16 +172,5 @@ def simple_two_hop_clustering(
     order to mirror the paper's unguarded Fig. 9a comparison run.
     """
     config = config or NNCConfig()
-    clusters: list[list[SubdomainSummary]] = []
-    for element in qcloudinfo:
-        if not _passes_thresholds(element, config):
-            continue
-        placed = False
-        for cluster in clusters:
-            if any(element.hop_distance(m) <= 2 for m in cluster):
-                cluster.append(element)
-                placed = True
-                break
-        if not placed:
-            clusters.append([element])
-    return clusters
+    elements = [e for e in qcloudinfo if _passes_thresholds(e, config)]
+    return _grow_clusters(elements, [(0, 2)], None)

@@ -44,6 +44,7 @@ __all__ = [
     "PDAConfig",
     "PDAResult",
     "aggregate_summaries",
+    "assign_files",
     "parallel_data_analysis",
 ]
 
@@ -76,7 +77,39 @@ class PDAResult:
     low_olr_fraction: float = 0.0
 
 
-def _assign_files(
+def _bucket_indices(
+    files: list[SplitFile], sim_grid: ProcessorGrid, n_analysis: int
+) -> list[list[int]]:
+    """Positions in ``files`` owned by each analysis rank, in file order.
+
+    Block → analysis-rank lookup tables are built once per call, one
+    ``searchsorted`` per axis, so the per-file work is two list lookups.
+    """
+    ag = ProcessorGrid.square_like(n_analysis)
+    # column of block bx = number of analysis-column boundaries <= bx
+    col = np.searchsorted(
+        split_evenly(sim_grid.px, ag.px)[1:], np.arange(sim_grid.px), side="right"
+    ).tolist()
+    row = (
+        np.searchsorted(
+            split_evenly(sim_grid.py, ag.py)[1:], np.arange(sim_grid.py), side="right"
+        )
+        * ag.px
+    ).tolist()
+    px, py = sim_grid.px, sim_grid.py
+    buckets: list[list[int]] = [[] for _ in range(n_analysis)]
+    for i, f in enumerate(files):
+        bx, by = f.block_x, f.block_y
+        if not (0 <= bx < px and 0 <= by < py):
+            raise ValueError(
+                f"split file {f.file_index} block ({bx},{by}) outside "
+                f"simulation grid {sim_grid}"
+            )
+        buckets[row[by] + col[bx]].append(i)
+    return buckets
+
+
+def assign_files(
     files: list[SplitFile | None], sim_grid: ProcessorGrid, n_analysis: int
 ) -> list[list[SplitFile]]:
     """Divide the P split files among N analysis ranks (Algorithm 1, 1–2).
@@ -85,24 +118,64 @@ def _assign_files(
     decomposition: the analysis grid is the most square factorisation of
     ``N`` and each analysis rank receives a contiguous block of subdomains.
     Missing files (``None`` entries) are simply absent from every bucket.
+
+    Validation: delegated — ``n_analysis < 1`` and a file whose block lies
+    outside ``sim_grid`` raise ``ValueError`` in the helpers it calls.
     """
-    ag = ProcessorGrid.square_like(n_analysis)
-    xb = split_evenly(sim_grid.px, ag.px)
-    yb = split_evenly(sim_grid.py, ag.py)
-    buckets: list[list[SplitFile]] = [[] for _ in range(n_analysis)]
-    for f in files:
-        if f is None:
-            continue
-        ax = int(max(0, (xb[1:] <= f.block_x).sum()))
-        ay = int(max(0, (yb[1:] <= f.block_y).sum()))
-        buckets[ay * ag.px + ax].append(f)
-    return buckets
+    present = [f for f in files if f is not None]
+    return [
+        [present[i] for i in bucket]
+        for bucket in _bucket_indices(present, sim_grid, n_analysis)
+    ]
 
 
 def _is_corrupt(f: SplitFile) -> bool:
     """A truncated/garbled payload shows up as non-finite field values."""
     return not (
         bool(np.isfinite(f.qcloud).all()) and bool(np.isfinite(f.olr).all())
+    )
+
+
+def _aggregate_arrays(
+    files: list[SplitFile], olr_threshold: float
+) -> tuple[list[bool], list[int], list[float], list[int]]:
+    """Batched Algorithm 1 scan: per-file arrays aligned with ``files``.
+
+    Returns ``(corrupt, low_olr_count, masked_qcloud_sum, area)`` as plain
+    lists.  Same-shape tiles are stacked and reduced together.  The count
+    and sum of a corrupt file (non-finite QCLOUD/OLR) are meaningless.
+    """
+    n = len(files)
+    corrupt = np.zeros(n, dtype=bool)
+    counts = np.zeros(n, dtype=np.int64)
+    qsums = np.zeros(n, dtype=np.float64)
+    areas = np.zeros(n, dtype=np.int64)
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for i, f in enumerate(files):
+        by_shape.setdefault(f.qcloud.shape, []).append(i)
+    for shape, idxs in by_shape.items():
+        q = np.stack([files[i].qcloud for i in idxs])
+        o = np.stack([files[i].olr for i in idxs])
+        finite = np.isfinite(q).all(axis=(1, 2)) & np.isfinite(o).all(axis=(1, 2))
+        mask = o <= olr_threshold
+        corrupt[idxs] = ~finite
+        counts[idxs] = mask.sum(axis=(1, 2))
+        qsums[idxs] = np.where(mask, q, 0.0).sum(axis=(1, 2))
+        areas[idxs] = shape[0] * shape[1]
+    return corrupt.tolist(), counts.tolist(), qsums.tolist(), areas.tolist()
+
+
+def _summary(
+    f: SplitFile, qcloud: float, count: int, area: int
+) -> SubdomainSummary:
+    """The ``qcloudinfo`` tuple of one healthy file from its batched sums."""
+    return SubdomainSummary(
+        file_index=f.file_index,
+        block_x=f.block_x,
+        block_y=f.block_y,
+        extent=f.extent,
+        qcloud=qcloud,
+        olr_fraction=float(count) / area if area else 0.0,
     )
 
 
@@ -115,12 +188,12 @@ def aggregate_summaries(
 
     Returns one ``(corrupt, summary)`` per input file, aligned with
     ``files``; corrupt files (non-finite QCLOUD/OLR) carry ``None``.  The
-    vector path stacks same-shape tiles and reduces the whole batch with
-    masked array ops; the reference path summarises file by file.  The
-    integer-derived fields (``olr_fraction``, corruption flags) are
-    bit-identical across modes; the ``qcloud`` float aggregate may differ
-    in the last ulp because batched reductions sum in a different order
-    (see ``docs/performance.md``).
+    vector path wraps the batched scan of :func:`_aggregate_arrays`; the
+    reference path summarises file by file.  The integer-derived fields
+    (``olr_fraction``, corruption flags) are bit-identical across modes;
+    the ``qcloud`` float aggregate may differ in the last ulp because
+    batched reductions sum in a different order (see
+    ``docs/performance.md``).
     """
     check_kernels(kernels)
     with get_recorder().span("analysis.aggregate", n_files=len(files)):
@@ -131,38 +204,42 @@ def aggregate_summaries(
                 else (False, f.summarise(olr_threshold))
                 for f in files
             ]
-        results: list[tuple[bool, SubdomainSummary | None]] = [
-            (True, None)
-        ] * len(files)
-        by_shape: dict[tuple[int, int], list[int]] = {}
-        for i, f in enumerate(files):
-            by_shape.setdefault(f.qcloud.shape, []).append(i)
-        for shape, idxs in by_shape.items():
-            q = np.stack([files[i].qcloud for i in idxs])
-            o = np.stack([files[i].olr for i in idxs])
-            finite = np.isfinite(q).all(axis=(1, 2)) & np.isfinite(o).all(
-                axis=(1, 2)
-            )
-            mask = o <= olr_threshold
-            counts = mask.sum(axis=(1, 2))
-            qsum = np.where(mask, q, 0.0).sum(axis=(1, 2))
-            area = shape[0] * shape[1]
-            for j, i in enumerate(idxs):
-                if not finite[j]:
-                    continue  # stays (True, None)
-                f = files[i]
-                results[i] = (
-                    False,
-                    SubdomainSummary(
-                        file_index=f.file_index,
-                        block_x=f.block_x,
-                        block_y=f.block_y,
-                        extent=f.extent,
-                        qcloud=float(qsum[j]),
-                        olr_fraction=float(counts[j]) / area if area else 0.0,
-                    ),
-                )
-        return results
+        corrupt, counts, qsums, areas = _aggregate_arrays(files, olr_threshold)
+        return [
+            (True, None) if bad else (False, _summary(f, q, c, a))
+            for f, bad, c, q, a in zip(files, corrupt, counts, qsums, areas)
+        ]
+
+
+def _summarise_files(
+    files: list[SplitFile], olr_threshold: float, kernels: str
+) -> tuple[list[bool], list[int], list[float], list[SubdomainSummary | None]]:
+    """Per file: corrupt flag, area, low-OLR fraction and reported summary.
+
+    The reported summary is ``None`` for a corrupt file and for one with
+    no low-OLR area; only the others reach the root.  The vector path
+    builds a :class:`SubdomainSummary` for reported files only.
+    """
+    if kernels == "reference":
+        pairs = aggregate_summaries(files, olr_threshold, kernels)
+        fraction = [0.0 if s is None else s.olr_fraction for _, s in pairs]
+        return (
+            [bad for bad, _ in pairs],
+            [f.extent.area for f in files],
+            fraction,
+            [s if frac > 0 else None for (_, s), frac in zip(pairs, fraction)],
+        )
+    with get_recorder().span("analysis.aggregate", n_files=len(files)):
+        corrupt, counts, qsums, areas = _aggregate_arrays(files, olr_threshold)
+    return (
+        corrupt,
+        areas,
+        [float(c) / a if a else 0.0 for c, a in zip(counts, areas)],
+        [
+            _summary(f, q, c, a) if c and not bad else None
+            for f, bad, c, q, a in zip(files, corrupt, counts, qsums, areas)
+        ],
+    )
 
 
 def parallel_data_analysis(
@@ -193,10 +270,11 @@ def parallel_data_analysis(
         omitted); its statistics account the root gather, and its failed
         ranks' buckets go unread (degraded mode).
     kernels:
-        ``"vector"`` (default) summarises every present file in one batched
-        pass (:func:`aggregate_summaries`) shared by the per-rank analysis
-        and the degraded-mode renormalisation; ``"reference"`` summarises
-        file by file, twice, as the original scalar oracle did.
+        ``"vector"`` (default) scans every present file in one batched
+        pass (:func:`_aggregate_arrays`) shared by the per-rank analysis
+        and the degraded-mode renormalisation, and builds a summary only
+        for a file that reports; ``"reference"`` summarises file by file
+        (:func:`aggregate_summaries`), the scalar oracle.
     """
     if len(files) != sim_grid.nprocs:
         raise ValueError(
@@ -218,32 +296,13 @@ def parallel_data_analysis(
     with get_recorder().span(
         "analysis.pda", n_files=len(files), n_analysis=n_analysis
     ):
-        n_missing = sum(1 for f in files if f is None)
-        buckets = _assign_files(files, sim_grid, n_analysis)
+        present = [f for f in files if f is not None]
+        n_missing = len(files) - len(present)
+        buckets = _bucket_indices(present, sim_grid, n_analysis)
+        corrupt, area, low_olr_fraction, reported = _summarise_files(
+            present, config.olr_threshold, kernels
+        )
         corrupt_count = [0]  # mutated by the per-rank closure
-
-        if kernels == "vector":
-            # One batched pass over every present file, shared by the
-            # per-rank analysis and the renormalisation below (the
-            # reference path summarises per file — and twice).
-            present = [f for f in files if f is not None]
-            info = {
-                id(f): cs
-                for f, cs in zip(
-                    present,
-                    aggregate_summaries(present, config.olr_threshold, kernels),
-                )
-            }
-
-            def summarise(f: SplitFile) -> tuple[bool, SubdomainSummary | None]:
-                return info[id(f)]
-
-        else:
-
-            def summarise(f: SplitFile) -> tuple[bool, SubdomainSummary | None]:
-                if _is_corrupt(f):
-                    return True, None
-                return False, f.summarise(config.olr_threshold)
 
         # Per-rank analysis (Algorithm 1, lines 3–9).  An analysis rank only
         # reports subdomains containing any low-OLR area — "some of the split
@@ -252,13 +311,12 @@ def parallel_data_analysis(
         # and skips corrupt files, counting them for the partial flag.
         def analyse(rank: int) -> list[SubdomainSummary]:
             out = []
-            for f in buckets[rank]:
-                corrupt, summary = summarise(f)
-                if corrupt:
+            for i in buckets[rank]:
+                if corrupt[i]:
                     corrupt_count[0] += 1
                     continue
-                assert summary is not None
-                if summary.olr_fraction > 0:
+                summary = reported[i]
+                if summary is not None:
                     out.append(summary)
             return out
 
@@ -273,19 +331,17 @@ def parallel_data_analysis(
         for rank, bucket in enumerate(buckets):
             if not comm.alive(rank):
                 continue
-            for f in bucket:
-                corrupt, summary = summarise(f)
-                if corrupt:
+            for i in bucket:
+                if corrupt[i]:
                     continue
-                assert summary is not None
-                reporting_area += f.extent.area
-                weighted_low_olr += summary.olr_fraction * f.extent.area
+                reporting_area += area[i]
+                weighted_low_olr += low_olr_fraction[i] * area[i]
         low_olr = weighted_low_olr / reporting_area if reporting_area else 0.0
 
         n_failed = len(comm.failed_ranks)
         n_corrupt = corrupt_count[0]
         partial = bool(n_missing or n_corrupt or n_failed)
-        full_area = _full_domain_area(files)
+        full_area = _full_domain_area(area, n_missing)
         coverage = reporting_area / full_area if full_area else 1.0
 
         # Root gather (line 11) + sort (line 13) + NNC (line 14) + rectangles.
@@ -320,16 +376,14 @@ def parallel_data_analysis(
         return result
 
 
-def _full_domain_area(files: list[SplitFile | None]) -> float:
+def _full_domain_area(present_areas: list[int], n_missing: int) -> float:
     """Total subdomain area including an estimate for missing files.
 
     Present files report their exact extents; a missing file's extent is
     unknown, so it is approximated by the mean extent of the present ones
     (exact when the decomposition is even, close otherwise).
     """
-    present = [f.extent.area for f in files if f is not None]
-    if not present:
+    if not present_areas:
         return 0.0
-    mean_area = sum(present) / len(present)
-    n_missing = len(files) - len(present)
-    return float(sum(present) + mean_area * n_missing)
+    mean_area = sum(present_areas) / len(present_areas)
+    return float(sum(present_areas) + mean_area * n_missing)

@@ -18,10 +18,15 @@ def cluster_bounding_rect(cluster: list[SubdomainSummary]) -> Rect:
     """Bounding rectangle (parent grid points) of a cluster's subdomains."""
     if not cluster:
         raise ValueError("cannot bound an empty cluster")
-    rect = cluster[0].extent
-    for member in cluster[1:]:
-        rect = rect.union_bbox(member.extent)
-    return rect
+    # empty extents do not widen the box (Rect.union_bbox semantics)
+    boxes = [m.extent for m in cluster if not m.extent.is_empty]
+    if not boxes:
+        return cluster[-1].extent
+    x0 = min(r.x0 for r in boxes)
+    y0 = min(r.y0 for r in boxes)
+    x1 = max(r.x0 + r.w for r in boxes)
+    y1 = max(r.y0 + r.h for r in boxes)
+    return Rect(x0, y0, x1 - x0, y1 - y0)
 
 
 def clusters_to_rectangles(

@@ -50,6 +50,23 @@ class DomainConfig:
             raise ValueError(f"nest_refinement must be >= 1")
 
 
+def _split_layout(config: DomainConfig) -> list[tuple[int, int, int, Rect]]:
+    """``(rank, block_x, block_y, extent)`` of every simulation rank, as ints."""
+    g = config.sim_grid
+    xb = split_evenly(config.nx, g.px).tolist()
+    yb = split_evenly(config.ny, g.py).tolist()
+    return [
+        (
+            g.rank(bx, by),
+            bx,
+            by,
+            Rect(xb[bx], yb[by], xb[bx + 1] - xb[bx], yb[by + 1] - yb[by]),
+        )
+        for by in range(g.py)
+        for bx in range(g.px)
+    ]
+
+
 class WrfLikeModel:
     """Cloud-field simulator producing per-rank split files.
 
@@ -74,6 +91,7 @@ class WrfLikeModel:
         self.birth_fn = birth_fn or (lambda step, systems: [])
         self.systems: list[CloudSystem] = list(systems or [])
         self.step_count = 0
+        self._layout = _split_layout(config)
 
     def step(self) -> None:
         """Advance one analysis interval (the paper's 2 simulated minutes)."""
@@ -91,39 +109,19 @@ class WrfLikeModel:
 
     def subdomain_extent(self, block_x: int, block_y: int) -> Rect:
         """Grid-point extent of simulation rank block ``(block_x, block_y)``."""
-        g = self.config.sim_grid
-        xb = split_evenly(self.config.nx, g.px)
-        yb = split_evenly(self.config.ny, g.py)
-        return Rect(
-            int(xb[block_x]),
-            int(yb[block_y]),
-            int(xb[block_x + 1] - xb[block_x]),
-            int(yb[block_y + 1] - yb[block_y]),
-        )
+        return self._layout[self.config.sim_grid.rank(block_x, block_y)][3]
 
     def write_split_files(self) -> list[SplitFile]:
         """One split file per simulation rank for the current step."""
         q, o = self.fields()
-        g = self.config.sim_grid
-        xb = split_evenly(self.config.nx, g.px)
-        yb = split_evenly(self.config.ny, g.py)
-        files = []
-        for by in range(g.py):
-            for bx in range(g.px):
-                extent = Rect(
-                    int(xb[bx]),
-                    int(yb[by]),
-                    int(xb[bx + 1] - xb[bx]),
-                    int(yb[by + 1] - yb[by]),
-                )
-                files.append(
-                    SplitFile(
-                        file_index=g.rank(bx, by),
-                        block_x=bx,
-                        block_y=by,
-                        extent=extent,
-                        qcloud=q[extent.y0 : extent.y1, extent.x0 : extent.x1],
-                        olr=o[extent.y0 : extent.y1, extent.x0 : extent.x1],
-                    )
-                )
-        return files
+        return [
+            SplitFile(
+                file_index=rank,
+                block_x=bx,
+                block_y=by,
+                extent=extent,
+                qcloud=q[extent.y0 : extent.y1, extent.x0 : extent.x1],
+                olr=o[extent.y0 : extent.y1, extent.x0 : extent.x1],
+            )
+            for rank, bx, by, extent in self._layout
+        ]

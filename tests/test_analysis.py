@@ -1,7 +1,11 @@
 """Tests for repro.analysis: split files, NNC (Algorithm 2), PDA (Algorithm 1)."""
 
+from statistics import fmean
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (
     NNCConfig,
@@ -165,6 +169,127 @@ class TestSimpleTwoHop:
         assert len(nearest_neighbour_clustering(items)) == 1
 
 
+def _distance_ok(element, member, cluster, hop, mean_deviation):
+    """The paper's DISTANCE function (Algorithm 2, lines 22–31)."""
+    if element.hop_distance(member) != hop:
+        return False
+    if mean_deviation is None:
+        return True
+    old_mean = fmean(m.qcloud for m in cluster)
+    new_mean = fmean([m.qcloud for m in cluster] + [element.qcloud])
+    if old_mean == 0:
+        return new_mean == 0
+    return abs(new_mean - old_mean) <= mean_deviation * abs(old_mean)
+
+
+def _passes(element, config):
+    return (
+        element.qcloud >= config.qcloud_threshold
+        and element.olr_fraction >= config.olr_fraction_threshold
+    )
+
+
+def scan_nnc(qcloudinfo, config):
+    """Oracle: Algorithm 2 as published, scanning every member of every cluster."""
+    clusters = []
+    last_accepted = None
+    for element in qcloudinfo:
+        if not _passes(element, config):
+            continue
+        if last_accepted is not None and last_accepted.qcloud < element.qcloud:
+            raise ValueError("qcloudinfo must be sorted")
+        last_accepted = element
+        placed = False
+        for hop in range(1, config.max_hops + 1):
+            for cluster in clusters:
+                if any(
+                    _distance_ok(element, member, cluster, hop, config.mean_deviation)
+                    for member in cluster
+                ):
+                    cluster.append(element)
+                    placed = True
+                    break
+            if placed:
+                break
+        if not placed:
+            clusters.append([element])
+    return clusters
+
+
+def scan_two_hop(qcloudinfo, config):
+    """Oracle: the Fig. 9a baseline as a linear scan."""
+    clusters = []
+    for element in qcloudinfo:
+        if not _passes(element, config):
+            continue
+        for cluster in clusters:
+            if any(element.hop_distance(m) <= 2 for m in cluster):
+                cluster.append(element)
+                break
+        else:
+            clusters.append([element])
+    return clusters
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+@st.composite
+def summary_lists(draw):
+    """Summaries on a small block grid: duplicate positions, tied QCLOUDs."""
+    n = draw(st.integers(0, 60), label="n")
+    side = draw(st.integers(1, 9), label="grid_side")
+    qcloud = st.sampled_from([0.0, 0.004, 0.005, 0.5, 1.0, 1.3, 2.0]) | st.floats(
+        0.0, 10.0
+    )
+    olr = st.sampled_from([0.0, 0.004, 0.005, 0.5, 1.0])
+    return [
+        SubdomainSummary(
+            file_index=i,
+            block_x=draw(st.integers(0, side - 1)),
+            block_y=draw(st.integers(0, side - 1)),
+            extent=Rect(0, 0, 1, 1),
+            qcloud=draw(qcloud),
+            olr_fraction=draw(olr),
+        )
+        for i in range(n)
+    ]
+
+
+class TestNNCOracle:
+    """The block-indexed clustering picks exactly what the linear scan picks."""
+
+    @given(
+        items=summary_lists(),
+        mean_deviation=st.sampled_from([0.0, 0.1, 0.3, 1.0]) | st.floats(0.0, 3.0),
+        max_hops=st.integers(1, 4),
+        sort=st.booleans(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_linear_scan(self, items, mean_deviation, max_hops, sort):
+        config = NNCConfig(mean_deviation=mean_deviation, max_hops=max_hops)
+        if sort:
+            items = sorted(items, key=lambda s: -s.qcloud)
+        # unsorted input must raise in both, or cluster identically
+        assert _outcome(nearest_neighbour_clustering, items, config) == _outcome(
+            scan_nnc, items, config
+        )
+        assert simple_two_hop_clustering(items, config) == scan_two_hop(items, config)
+
+    def test_unsorted_input_rejected(self):
+        items = [make_summary(0, 0, qcloud=1.0), make_summary(5, 5, qcloud=2.0)]
+        with pytest.raises(ValueError):
+            nearest_neighbour_clustering(items)
+        with pytest.raises(ValueError):
+            scan_nnc(items, NNCConfig())
+        # the Fig. 9a baseline accepts any order
+        assert len(simple_two_hop_clustering(items)) == 2
+
+
 class TestRegions:
     def test_bounding_rect(self):
         c = [make_summary(0, 0), make_summary(1, 1)]
@@ -246,6 +371,13 @@ class TestPDA:
             parallel_data_analysis(files, grid, 0)
         with pytest.raises(ValueError):
             parallel_data_analysis(files, grid, 17)
+
+    def test_block_outside_sim_grid_rejected(self):
+        grid = ProcessorGrid(2, 2)
+        files = [make_split_file(bx, by, 0.01, 150.0) for by in range(2) for bx in range(2)]
+        files[3] = make_split_file(2, 1, 0.01, 150.0)  # column 2 of a 2-wide grid
+        with pytest.raises(ValueError, match="outside"):
+            parallel_data_analysis(files, grid, 2)
 
     def test_comm_size_mismatch(self):
         grid = ProcessorGrid(4, 4)

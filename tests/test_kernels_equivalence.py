@@ -10,6 +10,7 @@ tolerance for the float aggregates whose summation order legitimately
 differs (batched QCLOUD sums).  See ``docs/performance.md``.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import PDAConfig, SplitFile, parallel_data_analysis
-from repro.analysis.pda import aggregate_summaries
+from repro.analysis.pda import aggregate_summaries, assign_files
 from repro.core import Allocation, plan_redistribution
 from repro.core.dataplane import (
     RankStore,
@@ -362,6 +363,78 @@ class TestPDAEquivalence:
             assert math.isclose(
                 summary.qcloud, expect.qcloud, rel_tol=1e-12, abs_tol=1e-15
             )
+
+    def test_degraded_step_matches_reference(self):
+        # missing files, corrupt files (both fields) and failed ranks at once,
+        # on a grid where many healthy files have no low-OLR area at all
+        px, py, n_analysis = 8, 6, 12
+        sim_grid = ProcessorGrid(px, py)
+        xb, yb = split_evenly(53, px), split_evenly(37, py)
+        rng = make_rng(11)
+        files = []
+        for by in range(py):
+            for bx in range(px):
+                extent = Rect(
+                    int(xb[bx]),
+                    int(yb[by]),
+                    int(xb[bx + 1] - xb[bx]),
+                    int(yb[by + 1] - yb[by]),
+                )
+                shape = (extent.h, extent.w)
+                olr = rng.uniform(100.0, 300.0, shape)
+                if (bx + by) % 3:
+                    olr += 150.0  # clear sky: reported by no rank
+                files.append(
+                    SplitFile(
+                        file_index=sim_grid.rank(bx, by),
+                        block_x=bx,
+                        block_y=by,
+                        extent=extent,
+                        qcloud=rng.uniform(0.0, 5.0, shape),
+                        olr=olr,
+                    )
+                )
+        for i in (0, 9, 30, 47):
+            files[i] = None
+        for i, field in ((3, "qcloud"), (12, "olr"), (21, "olr"), (40, "qcloud")):
+            f = files[i]
+            arr = getattr(f, field).copy()
+            arr[-1, 0] = np.nan if field == "olr" else np.inf
+            files[i] = dataclasses.replace(f, **{field: arr})
+        dead = (2, 7)
+
+        results, comms = {}, {}
+        for mode in ("vector", "reference"):
+            comms[mode] = SimComm(n_analysis, failed_ranks=dead)
+            results[mode] = parallel_data_analysis(
+                files, sim_grid, n_analysis, comm=comms[mode], kernels=mode
+            )
+        rv, rr = results["vector"], results["reference"]
+
+        assert rv.rectangles == rr.rectangles
+        assert rv.gathered_items == rr.gathered_items
+        assert comms["vector"].stats == comms["reference"].stats
+        assert (rv.n_files_missing, rv.n_files_corrupt, rv.n_ranks_failed) == (
+            rr.n_files_missing,
+            rr.n_files_corrupt,
+            rr.n_ranks_failed,
+        )
+        assert rv.coverage == rr.coverage
+        assert rv.partial and rr.partial
+        assert rv.n_files_missing == 4 and rv.n_files_corrupt == 4
+        assert rv.n_ranks_failed == len(dead)
+
+        # gathered = healthy files, on alive ranks, with some low-OLR area
+        expect = sum(
+            1
+            for rank, bucket in enumerate(assign_files(files, sim_grid, n_analysis))
+            if rank not in dead
+            for f in bucket
+            if np.isfinite(f.qcloud).all()
+            and np.isfinite(f.olr).all()
+            and (f.olr <= PDAConfig().olr_threshold).any()
+        )
+        assert 0 < rv.gathered_items == expect < sim_grid.nprocs // 2
 
     def test_aggregate_empty(self):
         assert aggregate_summaries([], 200.0, kernels="vector") == []
