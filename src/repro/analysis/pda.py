@@ -25,12 +25,14 @@ the whole domain, so thresholds stay comparable whatever was lost.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.analysis.nnc import NNCConfig, nearest_neighbour_clustering
-from repro.analysis.records import SplitFile, SubdomainSummary
+from repro.analysis.records import SplitFile, SplitFileSet, SubdomainSummary
 from repro.analysis.regions import clusters_to_rectangles
 from repro.grid.block import split_evenly
 from repro.grid.procgrid import ProcessorGrid
@@ -71,46 +73,54 @@ class PDAResult:
     n_files_missing: int = 0  # ``None`` entries (lost / truncated writers)
     n_files_corrupt: int = 0  # files with non-finite QCLOUD/OLR payloads
     n_ranks_failed: int = 0  # failed analysis ranks (their buckets unread)
-    #: reporting subdomain area / full domain area (1.0 when complete)
+    #: reporting subdomain area / full domain area: 1.0 when complete,
+    #: 0.0 when every split file is missing (nothing reported)
     coverage: float = 1.0
     #: area-weighted low-OLR fraction over *reporting* subdomains only
     low_olr_fraction: float = 0.0
 
 
 def _bucket_indices(
-    files: list[SplitFile], sim_grid: ProcessorGrid, n_analysis: int
+    file_index: Sequence[int],
+    blocks: np.ndarray,
+    sim_grid: ProcessorGrid,
+    n_analysis: int,
 ) -> list[list[int]]:
-    """Positions in ``files`` owned by each analysis rank, in file order.
+    """Positions owned by each analysis rank, in file order.
 
+    ``blocks`` is the ``(2, n)`` array of the files' block coordinates.
     Block → analysis-rank lookup tables are built once per call, one
-    ``searchsorted`` per axis, so the per-file work is two list lookups.
+    ``searchsorted`` per axis; one stable sort groups the positions.
     """
     ag = ProcessorGrid.square_like(n_analysis)
-    # column of block bx = number of analysis-column boundaries <= bx
-    col = np.searchsorted(
-        split_evenly(sim_grid.px, ag.px)[1:], np.arange(sim_grid.px), side="right"
-    ).tolist()
-    row = (
-        np.searchsorted(
-            split_evenly(sim_grid.py, ag.py)[1:], np.arange(sim_grid.py), side="right"
-        )
-        * ag.px
-    ).tolist()
     px, py = sim_grid.px, sim_grid.py
-    buckets: list[list[int]] = [[] for _ in range(n_analysis)]
-    for i, f in enumerate(files):
-        bx, by = f.block_x, f.block_y
-        if not (0 <= bx < px and 0 <= by < py):
-            raise ValueError(
-                f"split file {f.file_index} block ({bx},{by}) outside "
-                f"simulation grid {sim_grid}"
-            )
-        buckets[row[by] + col[bx]].append(i)
-    return buckets
+    bx, by = blocks
+    outside = (bx < 0) | (bx >= px) | (by < 0) | (by >= py)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise ValueError(
+            f"split file {file_index[i]} block ({bx[i]},{by[i]}) outside "
+            f"simulation grid {sim_grid}"
+        )
+    # column of block bx = number of analysis-column boundaries <= bx
+    col = np.searchsorted(split_evenly(px, ag.px)[1:], np.arange(px), side="right")
+    row = np.searchsorted(split_evenly(py, ag.py)[1:], np.arange(py), side="right")
+    owner = row[by] * ag.px + col[bx]
+    order = np.argsort(owner, kind="stable")
+    bounds = np.searchsorted(owner[order], np.arange(n_analysis + 1)).tolist()
+    order_list = order.tolist()
+    return [order_list[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _block_array(files: Sequence[SplitFile]) -> np.ndarray:
+    """The ``(2, n)`` block coordinates of ``files``."""
+    return np.array(
+        [[f.block_x for f in files], [f.block_y for f in files]], dtype=np.int64
+    ).reshape(2, len(files))
 
 
 def assign_files(
-    files: list[SplitFile | None], sim_grid: ProcessorGrid, n_analysis: int
+    files: Sequence[SplitFile | None], sim_grid: ProcessorGrid, n_analysis: int
 ) -> list[list[SplitFile]]:
     """Divide the P split files among N analysis ranks (Algorithm 1, 1–2).
 
@@ -123,10 +133,10 @@ def assign_files(
     outside ``sim_grid`` raise ``ValueError`` in the helpers it calls.
     """
     present = [f for f in files if f is not None]
-    return [
-        [present[i] for i in bucket]
-        for bucket in _bucket_indices(present, sim_grid, n_analysis)
-    ]
+    buckets = _bucket_indices(
+        [f.file_index for f in present], _block_array(present), sim_grid, n_analysis
+    )
+    return [[present[i] for i in bucket] for bucket in buckets]
 
 
 def _is_corrupt(f: SplitFile) -> bool:
@@ -136,33 +146,89 @@ def _is_corrupt(f: SplitFile) -> bool:
     )
 
 
-def _aggregate_arrays(
-    files: list[SplitFile], olr_threshold: float
-) -> tuple[list[bool], list[int], list[float], list[int]]:
+#: ``(positions, qcloud stack, olr stack)`` of the same-shape tiles
+_Tiles = Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _stack_tiles(files: Sequence[SplitFile]) -> _Tiles:
+    """Same-shape tiles of ``files`` as stacks, one shape at a time.
+
+    A :class:`SplitFileSet` gathers them from its fields
+    (:meth:`~SplitFileSet.tiles`); any other sequence is grouped by shape
+    and ``np.stack``ed.
+    """
+    if isinstance(files, SplitFileSet):
+        yield from files.tiles()
+        return
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for i, f in enumerate(files):
+        by_shape.setdefault(f.qcloud.shape, []).append(i)
+    for idxs in by_shape.values():
+        yield (
+            np.array(idxs),
+            np.stack([files[i].qcloud for i in idxs]),
+            np.stack([files[i].olr for i in idxs]),
+        )
+
+
+#: per tile shape: positions, per-tile finiteness (``None``: all finite),
+#: the low-OLR mask stack and the QCLOUD stack zeroed outside the mask
+_MaskedTiles = Iterator[
+    tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]
+]
+
+
+def _masked_tiles(files: Sequence[SplitFile], olr_threshold: float) -> _MaskedTiles:
+    """Algorithm 1's per-grid-point work, one tile shape at a time.
+
+    A set whose fields are finite everywhere (one whole-field check) is
+    masked on the whole OLR field and gathered per tile shape; anything
+    else, including a set with a non-finite value, is stacked and checked
+    tile by tile.  Either way the QCLOUD stack is a fresh copy, zeroed
+    outside the mask in place: the same values ``np.where(mask, q, 0.0)``
+    gives, without a second stack-sized buffer per shape.
+    """
+    if (
+        isinstance(files, SplitFileSet)
+        and np.isfinite(files.qcloud).all()
+        and np.isfinite(files.olr).all()
+    ):
+        low = (files.olr <= olr_threshold).ravel()
+        qcloud = files.qcloud.ravel()
+        for pos, idx in files.layout.groups:
+            mask, q = low[idx], qcloud[idx]
+            np.copyto(q, 0.0, where=~mask)
+            yield pos, None, mask, q
+        return
+    for pos, q, o in _stack_tiles(files):
+        ok = np.isfinite(q).all(axis=(1, 2)) & np.isfinite(o).all(axis=(1, 2))
+        mask = o <= olr_threshold
+        np.copyto(q, 0.0, where=~mask)
+        yield pos, ok, mask, q
+
+
+def _scan(
+    files: Sequence[SplitFile], olr_threshold: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Batched Algorithm 1 scan: per-file arrays aligned with ``files``.
 
-    Returns ``(corrupt, low_olr_count, masked_qcloud_sum, area)`` as plain
-    lists.  Same-shape tiles are stacked and reduced together.  The count
-    and sum of a corrupt file (non-finite QCLOUD/OLR) are meaningless.
+    Returns ``(corrupt, low_olr_count, masked_qcloud_sum, area)``.  Each
+    tile shape is reduced with one per-tile ``sum(axis=(1, 2))``, so the
+    sums match a file-by-file stack bit for bit.  The count and sum of a
+    corrupt file (non-finite QCLOUD/OLR) are meaningless.
     """
     n = len(files)
     corrupt = np.zeros(n, dtype=bool)
     counts = np.zeros(n, dtype=np.int64)
     qsums = np.zeros(n, dtype=np.float64)
     areas = np.zeros(n, dtype=np.int64)
-    by_shape: dict[tuple[int, ...], list[int]] = {}
-    for i, f in enumerate(files):
-        by_shape.setdefault(f.qcloud.shape, []).append(i)
-    for shape, idxs in by_shape.items():
-        q = np.stack([files[i].qcloud for i in idxs])
-        o = np.stack([files[i].olr for i in idxs])
-        finite = np.isfinite(q).all(axis=(1, 2)) & np.isfinite(o).all(axis=(1, 2))
-        mask = o <= olr_threshold
-        corrupt[idxs] = ~finite
-        counts[idxs] = mask.sum(axis=(1, 2))
-        qsums[idxs] = np.where(mask, q, 0.0).sum(axis=(1, 2))
-        areas[idxs] = shape[0] * shape[1]
-    return corrupt.tolist(), counts.tolist(), qsums.tolist(), areas.tolist()
+    for pos, ok, mask, masked in _masked_tiles(files, olr_threshold):
+        if ok is not None:
+            corrupt[pos] = ~ok
+        counts[pos] = np.count_nonzero(mask, axis=(1, 2))
+        qsums[pos] = masked.sum(axis=(1, 2))
+        areas[pos] = mask.shape[1] * mask.shape[2]
+    return corrupt, counts, qsums, areas
 
 
 def _summary(
@@ -188,7 +254,7 @@ def aggregate_summaries(
 
     Returns one ``(corrupt, summary)`` per input file, aligned with
     ``files``; corrupt files (non-finite QCLOUD/OLR) carry ``None``.  The
-    vector path wraps the batched scan of :func:`_aggregate_arrays`; the
+    vector path wraps the batched scan of :func:`_scan`; the
     reference path summarises file by file.  The integer-derived fields
     (``olr_fraction``, corruption flags) are bit-identical across modes;
     the ``qcloud`` float aggregate may differ in the last ulp because
@@ -204,46 +270,81 @@ def aggregate_summaries(
                 else (False, f.summarise(olr_threshold))
                 for f in files
             ]
-        corrupt, counts, qsums, areas = _aggregate_arrays(files, olr_threshold)
+        corrupt, counts, qsums, areas = (
+            a.tolist() for a in _scan(files, olr_threshold)
+        )
         return [
             (True, None) if bad else (False, _summary(f, q, c, a))
             for f, bad, c, q, a in zip(files, corrupt, counts, qsums, areas)
         ]
 
 
+class _Identities(NamedTuple):
+    """Who each present file is and where it sits, by position."""
+
+    file_index: Sequence[int]
+    block_x: Sequence[int]
+    block_y: Sequence[int]
+    extents: Sequence[Rect]
+    blocks: np.ndarray  # (2, n) block coordinates, for the bucket lookup
+
+
+def _identities(files: Sequence[SplitFile]) -> _Identities:
+    """The files' identities; a set reads them off its layout."""
+    if isinstance(files, SplitFileSet):
+        lay = files.layout
+        return _Identities(lay.file_index, lay.block_x, lay.block_y, lay.extents, lay.blocks)
+    return _Identities(
+        [f.file_index for f in files],
+        [f.block_x for f in files],
+        [f.block_y for f in files],
+        [f.extent for f in files],
+        _block_array(files),
+    )
+
+
 def _summarise_files(
-    files: list[SplitFile], olr_threshold: float, kernels: str
+    files: Sequence[SplitFile],
+    ident: _Identities,
+    olr_threshold: float,
+    kernels: str,
 ) -> tuple[list[bool], list[int], list[float], list[SubdomainSummary | None]]:
     """Per file: corrupt flag, area, low-OLR fraction and reported summary.
 
     The reported summary is ``None`` for a corrupt file and for one with
     no low-OLR area; only the others reach the root.  The vector path
-    builds a :class:`SubdomainSummary` for reported files only.
+    builds a :class:`SubdomainSummary` from ``ident`` for reported files
+    only, so it never touches a file object.
     """
     if kernels == "reference":
-        pairs = aggregate_summaries(files, olr_threshold, kernels)
+        pairs = aggregate_summaries(list(files), olr_threshold, kernels)
         fraction = [0.0 if s is None else s.olr_fraction for _, s in pairs]
         return (
             [bad for bad, _ in pairs],
-            [f.extent.area for f in files],
+            [e.area for e in ident.extents],
             fraction,
             [s if frac > 0 else None for (_, s), frac in zip(pairs, fraction)],
         )
     with get_recorder().span("analysis.aggregate", n_files=len(files)):
-        corrupt, counts, qsums, areas = _aggregate_arrays(files, olr_threshold)
-    return (
-        corrupt,
-        areas,
-        [float(c) / a if a else 0.0 for c, a in zip(counts, areas)],
-        [
-            _summary(f, q, c, a) if c and not bad else None
-            for f, bad, c, q, a in zip(files, corrupt, counts, qsums, areas)
-        ],
-    )
+        corrupt, counts, qsums, areas = _scan(files, olr_threshold)
+    area = areas.tolist()
+    fraction = [float(c) / a if a else 0.0 for c, a in zip(counts.tolist(), area)]
+    qcloud = qsums.tolist()
+    reported: list[SubdomainSummary | None] = [None] * len(files)
+    for i in np.flatnonzero((counts > 0) & ~corrupt).tolist():
+        reported[i] = SubdomainSummary(
+            file_index=ident.file_index[i],
+            block_x=ident.block_x[i],
+            block_y=ident.block_y[i],
+            extent=ident.extents[i],
+            qcloud=qcloud[i],
+            olr_fraction=fraction[i],
+        )
+    return corrupt.tolist(), area, fraction, reported
 
 
 def parallel_data_analysis(
-    files: list[SplitFile | None],
+    files: Sequence[SplitFile | None],
     sim_grid: ProcessorGrid,
     n_analysis: int,
     config: PDAConfig | None = None,
@@ -271,10 +372,12 @@ def parallel_data_analysis(
         ranks' buckets go unread (degraded mode).
     kernels:
         ``"vector"`` (default) scans every present file in one batched
-        pass (:func:`_aggregate_arrays`) shared by the per-rank analysis
-        and the degraded-mode renormalisation, and builds a summary only
-        for a file that reports; ``"reference"`` summarises file by file
-        (:func:`aggregate_summaries`), the scalar oracle.
+        pass (:func:`_scan`) shared by the per-rank analysis and the
+        degraded-mode renormalisation, and builds a summary only for a
+        file that reports.  A :class:`SplitFileSet` is scanned through
+        its tile stacks without materialising any file; any other
+        sequence is grouped and stacked.  ``"reference"`` summarises
+        file by file (:func:`aggregate_summaries`), the scalar oracle.
     """
     if len(files) != sim_grid.nprocs:
         raise ValueError(
@@ -296,11 +399,16 @@ def parallel_data_analysis(
     with get_recorder().span(
         "analysis.pda", n_files=len(files), n_analysis=n_analysis
     ):
-        present = [f for f in files if f is not None]
+        # a batch has no missing entries; anything else is filtered here
+        if kernels == "vector" and isinstance(files, SplitFileSet):
+            present: Sequence[SplitFile] = files
+        else:
+            present = [f for f in files if f is not None]
         n_missing = len(files) - len(present)
-        buckets = _bucket_indices(present, sim_grid, n_analysis)
+        ident = _identities(present)
+        buckets = _bucket_indices(ident.file_index, ident.blocks, sim_grid, n_analysis)
         corrupt, area, low_olr_fraction, reported = _summarise_files(
-            present, config.olr_threshold, kernels
+            present, ident, config.olr_threshold, kernels
         )
         corrupt_count = [0]  # mutated by the per-rank closure
 
@@ -342,7 +450,10 @@ def parallel_data_analysis(
         n_corrupt = corrupt_count[0]
         partial = bool(n_missing or n_corrupt or n_failed)
         full_area = _full_domain_area(area, n_missing)
-        coverage = reporting_area / full_area if full_area else 1.0
+        if full_area:
+            coverage = reporting_area / full_area
+        else:  # no file reported any area: complete only if nothing was lost
+            coverage = 0.0 if partial else 1.0
 
         # Root gather (line 11) + sort (line 13) + NNC (line 14) + rectangles.
         gathered = comm.gather(per_rank, root=0)

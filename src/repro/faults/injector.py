@@ -14,6 +14,7 @@ injection → detection → degraded reallocation → recovered redistribution.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -108,7 +109,7 @@ class FaultInjector:
         )
 
     def damage_files(
-        self, step: int, files: list[SplitFile | None]
+        self, step: int, files: Sequence[SplitFile | None]
     ) -> list[SplitFile | None]:
         """Apply this step's split-file faults to a PDA input list.
 

@@ -42,14 +42,12 @@ class ExecTimePredictor:
         # (areas are O(1e5), aspects O(1)).
         self._scale = feats.max(axis=0)
         pts = feats / self._scale
-        self._linear = [
-            LinearNDInterpolator(pts, profiles.times[:, pi])
-            for pi in range(len(profiles.proc_counts))
-        ]
-        self._nearest = [
-            NearestNDInterpolator(pts, profiles.times[:, pi])
-            for pi in range(len(profiles.proc_counts))
-        ]
+        # One triangulation serves every profiled count: each interpolator
+        # carries the whole (domains x counts) time table as its values, so
+        # a predictor computes the barycentric transform (a LAPACK call,
+        # slow under BLAS threading and CPU contention) once, not per count.
+        self._linear = LinearNDInterpolator(pts, profiles.times)
+        self._nearest = NearestNDInterpolator(pts, profiles.times)
         self._proc_counts = np.asarray(profiles.proc_counts, dtype=np.float64)
         # Nest sizes recur at every adaptation point (a tracked storm keeps
         # its fine-grid size for many steps), so the scipy interpolation —
@@ -71,12 +69,9 @@ class ExecTimePredictor:
             if cached is not None:
                 return cached.copy()
         q = self._domain_features(nx, ny)[None, :]
-        out = np.empty(len(self._proc_counts))
-        for pi, (lin, near) in enumerate(zip(self._linear, self._nearest)):
-            v = lin(q)[0]
-            if np.isnan(v):  # outside the convex hull of profiled domains
-                v = near(q)[0]
-            out[pi] = v
+        out: np.ndarray = self._linear(q)[0]
+        if np.isnan(out).any():  # outside the convex hull of profiled domains
+            out = self._nearest(q)[0]
         if self.memoize:
             self._profile_cache[key] = out
             return out.copy()

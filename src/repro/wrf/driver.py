@@ -45,7 +45,7 @@ from repro.perfmodel.groundtruth import ExecutionOracle
 from repro.perfmodel.profiles import ProfileTable
 from repro.topology.machines import MachineSpec, blue_gene_l
 from repro.wrf.model import WrfLikeModel
-from repro.wrf.nests import Nest, NestTracker
+from repro.wrf.nests import NestTracker
 from repro.wrf.scenario import Scenario, mumbai_2005_scenario
 from repro.util.logging import get_logger
 
@@ -115,7 +115,8 @@ class CoupledSimulation:
 
     # ------------------------------------------------------------------
 
-    def _detect(self) -> list[Rect]:
+    def _detect(self) -> tuple[list[Rect], np.ndarray]:
+        """This step's clamped ROIs, plus the parent QCLOUD they came from."""
         with get_recorder().span("driver.detect"):
             files = self.model.write_split_files()
             result = parallel_data_analysis(
@@ -123,12 +124,8 @@ class CoupledSimulation:
             )
             rois = sorted(result.rectangles, key=lambda r: -r.area)[: self.max_nests]
             lo, hi = self.roi_side_range
-            return [_clamp_roi(r, lo, hi, self.config.nx, self.config.ny) for r in rois]
-
-    def _payload_for(self, nest: Nest) -> np.ndarray:
-        """A nest's field payload: QCLOUD interpolated onto the fine grid."""
-        qcloud, _ = self.model.fields()
-        return nest.interpolate_from_parent(qcloud)
+            clamped = [_clamp_roi(r, lo, hi, self.config.nx, self.config.ny) for r in rois]
+            return clamped, files.qcloud
 
     def step(self) -> CoupledStepResult:
         """Advance one adaptation interval end to end."""
@@ -142,7 +139,7 @@ class CoupledSimulation:
         with recorder.span("driver.model"):
             self.model.step()
         self.step_count += 1
-        rois = self._detect()
+        rois, qcloud = self._detect()
         retained, deleted_ids, new = self.tracker.update(rois)
         nests = {n.nest_id: (n.nx, n.ny) for n in self.tracker.live.values()}
 
@@ -199,16 +196,22 @@ class CoupledSimulation:
                         )
 
         # 2. regrid retained nests whose ROI geometry changed, and scatter
-        #    the payloads of freshly spawned nests
+        #    the payloads of freshly spawned nests; every payload is QCLOUD
+        #    interpolated onto the fine grid from the field detection read
         for nest in retained:
             if self._payload_size.get(nest.nest_id) != (nest.nx, nest.ny):
                 self.store.drop_nest(nest.nest_id)
                 scatter_nest(
-                    self.store, nest.nest_id, self._payload_for(nest), new_alloc
+                    self.store,
+                    nest.nest_id,
+                    nest.interpolate_from_parent(qcloud),
+                    new_alloc,
                 )
                 self._payload_size[nest.nest_id] = (nest.nx, nest.ny)
         for nest in new:
-            scatter_nest(self.store, nest.nest_id, self._payload_for(nest), new_alloc)
+            scatter_nest(
+                self.store, nest.nest_id, nest.interpolate_from_parent(qcloud), new_alloc
+            )
             self._payload_size[nest.nest_id] = (nest.nx, nest.ny)
 
         return CoupledStepResult(

@@ -78,5 +78,10 @@ def olr_field(
         )
     if saturation <= 0:
         raise ValueError(f"saturation must be positive, got {saturation}")
-    depth = np.minimum(np.asarray(qcloud, dtype=np.float64) / saturation, 1.0)
-    return clear_sky - (clear_sky - deep_cloud) * depth
+    # clear_sky - (clear_sky - deep_cloud) * min(qcloud / saturation, 1),
+    # evaluated in one output buffer (same operations, same order)
+    q = np.asarray(qcloud, dtype=np.float64)
+    out = np.divide(q, saturation, out=np.empty_like(q))
+    np.minimum(out, 1.0, out=out)
+    np.multiply(clear_sky - deep_cloud, out, out=out)
+    return np.subtract(clear_sky, out, out=out)

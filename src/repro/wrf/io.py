@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import pathlib
 import re
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -45,7 +46,7 @@ class SplitFileWriter:
             raise ValueError("prefix must not contain the domain marker '_d01_'")
         self.prefix = prefix
 
-    def write_step(self, step: int, files: list[SplitFile]) -> list[pathlib.Path]:
+    def write_step(self, step: int, files: Sequence[SplitFile]) -> list[pathlib.Path]:
         """Write every rank's split file for ``step``; returns the paths."""
         paths = []
         for f in files:

@@ -3,8 +3,9 @@
 :class:`WrfLikeModel` advances a population of cloud systems over the parent
 domain and, at every analysis step, writes one
 :class:`~repro.analysis.records.SplitFile` per simulation rank — the
-subdomain's QCLOUD/OLR blocks — exactly the artefacts the paper's parallel
-data analysis consumes.  Cloud births are driven by a scenario
+subdomain's QCLOUD/OLR blocks, batched as one
+:class:`~repro.analysis.records.SplitFileSet` — exactly the artefacts the
+paper's parallel data analysis consumes.  Cloud births are driven by a scenario
 (:mod:`repro.wrf.scenario`): either scripted events (the Mumbai-2005-like
 trace) or seeded random churn (the synthetic workloads).
 """
@@ -16,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.records import SplitFile
-from repro.grid.block import split_evenly
+from repro.analysis.records import SplitFileSet, SplitLayout
 from repro.grid.procgrid import ProcessorGrid
 from repro.grid.rect import Rect
 from repro.wrf.clouds import CloudSystem, advance_systems
@@ -50,23 +50,6 @@ class DomainConfig:
             raise ValueError(f"nest_refinement must be >= 1")
 
 
-def _split_layout(config: DomainConfig) -> list[tuple[int, int, int, Rect]]:
-    """``(rank, block_x, block_y, extent)`` of every simulation rank, as ints."""
-    g = config.sim_grid
-    xb = split_evenly(config.nx, g.px).tolist()
-    yb = split_evenly(config.ny, g.py).tolist()
-    return [
-        (
-            g.rank(bx, by),
-            bx,
-            by,
-            Rect(xb[bx], yb[by], xb[bx + 1] - xb[bx], yb[by + 1] - yb[by]),
-        )
-        for by in range(g.py)
-        for bx in range(g.px)
-    ]
-
-
 class WrfLikeModel:
     """Cloud-field simulator producing per-rank split files.
 
@@ -91,7 +74,7 @@ class WrfLikeModel:
         self.birth_fn = birth_fn or (lambda step, systems: [])
         self.systems: list[CloudSystem] = list(systems or [])
         self.step_count = 0
-        self._layout = _split_layout(config)
+        self.split_layout = SplitLayout(config.nx, config.ny, config.sim_grid)
 
     def step(self) -> None:
         """Advance one analysis interval (the paper's 2 simulated minutes)."""
@@ -109,19 +92,8 @@ class WrfLikeModel:
 
     def subdomain_extent(self, block_x: int, block_y: int) -> Rect:
         """Grid-point extent of simulation rank block ``(block_x, block_y)``."""
-        return self._layout[self.config.sim_grid.rank(block_x, block_y)][3]
+        return self.split_layout.extents[self.config.sim_grid.rank(block_x, block_y)]
 
-    def write_split_files(self) -> list[SplitFile]:
-        """One split file per simulation rank for the current step."""
-        q, o = self.fields()
-        return [
-            SplitFile(
-                file_index=rank,
-                block_x=bx,
-                block_y=by,
-                extent=extent,
-                qcloud=q[extent.y0 : extent.y1, extent.x0 : extent.x1],
-                olr=o[extent.y0 : extent.y1, extent.x0 : extent.x1],
-            )
-            for rank, bx, by, extent in self._layout
-        ]
+    def write_split_files(self) -> SplitFileSet:
+        """One split file per simulation rank for the current step, as a batch."""
+        return SplitFileSet(self.split_layout, *self.fields())

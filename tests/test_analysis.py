@@ -467,3 +467,11 @@ class TestPDADegraded:
         result = parallel_data_analysis([None] * 4, grid, 1)
         assert result.partial and result.n_files_missing == 4
         assert result.rectangles == [] and result.low_olr_fraction == 0.0
+
+    @pytest.mark.parametrize("kernels", ["vector", "reference"])
+    def test_all_files_missing_reports_zero_coverage(self, kernels):
+        # nothing reported, so nothing of the domain is covered
+        grid = ProcessorGrid(4, 4)
+        result = parallel_data_analysis([None] * 16, grid, 4, kernels=kernels)
+        assert result.partial and result.n_files_missing == 16
+        assert result.coverage == 0.0

@@ -42,6 +42,35 @@ class TestCoupledSimulation:
             assert f.shape == (ny, nx)
             assert np.isfinite(f).all()
 
+    def test_one_field_synthesis_per_step(self):
+        """Detection and every nest payload share one ``fields()`` call."""
+        sim = small_sim()
+        fields = sim.model.fields
+        calls = []
+
+        def counted():
+            calls.append(sim.model.step_count)
+            return fields()
+
+        sim.model.fields = counted
+        checked = 0
+        for step in range(1, 13):
+            before = dict(sim._payload_size)
+            result = sim.step()
+            assert calls == [step]
+            calls.clear()
+            # payloads written this step: spawned nests and regridded ones
+            qcloud, _ = fields()
+            for nid, size in sim._payload_size.items():
+                if before.get(nid) == size:
+                    continue
+                nest = sim.tracker.live[nid]
+                expect = nest.interpolate_from_parent(qcloud)
+                assert np.array_equal(gather_nest(sim.store, nid, *size), expect)
+                checked += 1
+            assert set(result.spawned) <= set(sim._payload_size)
+        assert checked
+
     def test_store_holds_only_live_nests(self):
         sim = small_sim()
         sim.run(10)

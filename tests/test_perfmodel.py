@@ -147,6 +147,41 @@ class TestExecTimePredictor:
         r = np.corrcoef(preds, actuals)[0, 1]
         assert r > 0.8
 
+    def test_one_triangulation_matches_per_count_oracle(self, predictor):
+        """The shared interpolators give the per-count ones' floats exactly.
+
+        The oracle is the original construction: one linear and one
+        nearest interpolator per profiled processor count, each with its
+        own NaN fallback.
+        """
+        from scipy.interpolate import LinearNDInterpolator, NearestNDInterpolator
+
+        table = predictor.profiles
+        scale = table.features.max(axis=0)
+        pts = table.features / scale
+        columns = [table.times[:, i] for i in range(len(table.proc_counts))]
+        linear = [LinearNDInterpolator(pts, c) for c in columns]
+        nearest = [NearestNDInterpolator(pts, c) for c in columns]
+        rng = np.random.default_rng(7)
+        sizes = rng.integers(20, 900, size=(300, 2))
+        outside = 0
+        for nx, ny in sizes.tolist():
+            q = np.asarray([nx * ny, max(nx, ny) / min(nx, ny)]) / scale
+            expect = []
+            for lin, near in zip(linear, nearest):
+                v = lin(q[None, :])[0]
+                if np.isnan(v):
+                    outside += 1
+                    v = near(q[None, :])[0]
+                expect.append(float(v))
+            got = predictor.predict_at_profiled_counts(nx, ny)
+            assert [float(v).hex() for v in got] == [v.hex() for v in expect]
+            for p in (1, 100, 512, 4096):
+                clamped = float(np.clip(p, table.proc_counts[0], table.proc_counts[-1]))
+                want = float(np.interp(clamped, table.proc_counts, expect))
+                assert predictor.predict(nx, ny, p).hex() == want.hex()
+        assert outside  # the draw covers both sides of the hull
+
 
 class TestRedistTimes:
     def test_empty(self):

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import parallel_data_analysis
+from repro.analysis.records import SplitFileSet
+from repro.faults import FaultInjector, FaultPlan, SplitFileFault
 from repro.grid import ProcessorGrid, Rect
+from repro.grid.block import split_evenly
 from repro.wrf import (
     CloudSystem,
     DomainConfig,
@@ -161,6 +164,149 @@ class TestModel:
         assert len(result.rectangles) >= 1
         # the detected ROI covers the cloud centre
         assert any(r.contains_point(32, 32) for r in result.rectangles)
+
+
+def _summary_key(s):
+    return (s.file_index, s.block_x, s.block_y, s.extent, s.qcloud.hex(), s.olr_fraction.hex())
+
+
+def _pda_key(r, exact_qcloud=True):
+    """Every PDAResult field; floats as ``float.hex`` (qcloud optionally dropped)."""
+
+    def summary(s):
+        key = _summary_key(s)
+        return key if exact_qcloud else key[:4] + key[5:]
+
+    return (
+        r.rectangles,
+        [[summary(s) for s in c] for c in r.clusters],
+        [summary(s) for s in r.summaries],
+        r.gathered_items,
+        r.partial,
+        r.n_files_missing,
+        r.n_files_corrupt,
+        r.n_ranks_failed,
+        r.coverage.hex(),
+        r.low_olr_fraction.hex(),
+    )
+
+
+@st.composite
+def batch_models(draw):
+    """A model over a random decomposition (uneven, 1xN, single rank) with clouds."""
+    px = draw(st.integers(1, 6), label="px")
+    py = draw(st.integers(1, 6), label="py")
+    nx = draw(st.integers(px, 7 * px + 5), label="nx")
+    ny = draw(st.integers(py, 7 * py + 5), label="ny")
+    systems = [
+        system(
+            system_id=k,
+            x=draw(st.floats(0, nx - 1), label="x"),
+            y=draw(st.floats(0, ny - 1), label="y"),
+            sigma_x=draw(st.floats(0.5, max(1.0, nx / 3)), label="sigma_x"),
+            sigma_y=draw(st.floats(0.5, max(1.0, ny / 3)), label="sigma_y"),
+            peak=draw(st.floats(2e-4, 4e-3), label="peak"),
+            age=8,
+        )
+        for k in range(draw(st.integers(0, 3), label="n_systems"))
+    ]
+    return WrfLikeModel(DomainConfig(nx=nx, ny=ny, sim_grid=ProcessorGrid(px, py)), systems=systems)
+
+
+class TestSplitFileSet:
+    @given(model=batch_models(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_batch_matches_per_rank_files(self, model, data):
+        cfg = model.config
+        grid = cfg.sim_grid
+        q, o = model.fields()
+        batch = model.write_split_files()
+        assert isinstance(batch, SplitFileSet) and len(batch) == grid.nprocs
+
+        # materialised files are exactly the per-rank slices (views)
+        xb, yb = split_evenly(cfg.nx, grid.px), split_evenly(cfg.ny, grid.py)
+        for rank, f in enumerate(batch):
+            bx, by = rank % grid.px, rank // grid.px
+            x0, x1, y0, y1 = (int(v) for v in (xb[bx], xb[bx + 1], yb[by], yb[by + 1]))
+            extent = Rect(x0, y0, x1 - x0, y1 - y0)
+            assert (f.file_index, f.block_x, f.block_y, f.extent) == (rank, bx, by, extent)
+            sl = (slice(extent.y0, extent.y1), slice(extent.x0, extent.x1))
+            assert f.qcloud.tobytes() == q[sl].tobytes() and f.olr.tobytes() == o[sl].tobytes()
+            assert np.shares_memory(f.qcloud, batch.qcloud) and batch[rank] is f
+
+        # tiles() is np.stack of those views, shape by shape
+        seen = []
+        for pos, qs, os_ in batch.tiles():
+            seen.extend(pos.tolist())
+            for stack, name in ((qs, "qcloud"), (os_, "olr")):
+                expect = np.stack([getattr(batch[i], name) for i in pos])
+                assert stack.flags.c_contiguous and stack.shape == expect.shape
+                assert stack.tobytes() == expect.tobytes()
+        assert sorted(seen) == list(range(grid.nprocs))
+
+        # the batch, its list and the reference oracle agree on every field
+        n = data.draw(st.integers(1, grid.nprocs), label="n_analysis")
+        on_set = parallel_data_analysis(batch, grid, n)
+        on_list = parallel_data_analysis(list(batch), grid, n)
+        reference = parallel_data_analysis(batch, grid, n, kernels="reference")
+        assert _pda_key(on_set) == _pda_key(on_list)
+        # the oracle sums each masked tile in another order: qcloud may
+        # differ in the last ulp, every other field is exact
+        assert _pda_key(on_set, exact_qcloud=False) == _pda_key(reference, exact_qcloud=False)
+        for a, b in zip(on_set.summaries, reference.summaries):
+            assert a.qcloud == pytest.approx(b.qcloud, rel=1e-12, abs=1e-15)
+
+        # damaging a batch is damaging its list
+        faults = data.draw(
+            st.lists(
+                st.builds(
+                    SplitFileFault,
+                    step=st.just(3),
+                    file_index=st.integers(0, grid.nprocs),
+                    mode=st.sampled_from(["truncate", "corrupt"]),
+                ),
+                max_size=3,
+            ),
+            label="faults",
+        )
+        plan = FaultPlan(tuple(faults))
+        from_set = FaultInjector(plan).damage_files(3, batch)
+        from_list = FaultInjector(plan).damage_files(3, list(batch))
+        assert len(from_set) == len(from_list)
+        for a, b in zip(from_set, from_list):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert (a.file_index, a.block_x, a.block_y, a.extent) == (
+                    b.file_index,
+                    b.block_x,
+                    b.block_y,
+                    b.extent,
+                )
+                assert a.qcloud.tobytes() == b.qcloud.tobytes()
+                assert a.olr.tobytes() == b.olr.tobytes()
+        assert _pda_key(parallel_data_analysis(from_set, grid, n)) == _pda_key(
+            parallel_data_analysis(from_list, grid, n)
+        )
+
+    def test_non_finite_batch_is_checked_tile_by_tile(self):
+        cfg = DomainConfig(nx=40, ny=30, sim_grid=ProcessorGrid(4, 3))
+        m = WrfLikeModel(cfg, systems=[system(x=20, y=15, sigma_x=5, sigma_y=5, age=8)])
+        batch = m.write_split_files()
+        batch.qcloud[16, 21] = np.nan  # inside rank 6's tile
+        result = parallel_data_analysis(batch, cfg.sim_grid, 4)
+        assert result.partial and result.n_files_corrupt == 1
+        assert all(s.file_index != 6 for s in result.summaries)
+        assert _pda_key(result) == _pda_key(parallel_data_analysis(list(batch), cfg.sim_grid, 4))
+
+    def test_sequence_protocol(self):
+        m = WrfLikeModel(DomainConfig(nx=10, ny=6, sim_grid=ProcessorGrid(3, 2)))
+        batch = m.write_split_files()
+        assert batch[-1] is batch[5] and batch[-1].file_index == 5
+        assert [f.file_index for f in batch[1:4]] == [1, 2, 3]
+        with pytest.raises(IndexError):
+            batch[6]
+        with pytest.raises(ValueError):
+            SplitFileSet(m.split_layout, np.zeros((5, 10)), np.zeros((6, 10)))
 
 
 class TestNest:
