@@ -9,9 +9,11 @@
 * :class:`~repro.core.dynamic.DynamicStrategy` — §IV-C, pick per adaptation
   point whichever of the two minimises predicted execution + redistribution
   time;
-* :func:`~repro.core.redistribution.plan_redistribution` — transfer
-  matrices, messages, hop-bytes, overlap and predicted/measured times for
-  one adaptation point;
+* :func:`~repro.core.redistribution.predict_redistribution` — transfer
+  matrices, messages, overlap and the §IV-C1 predicted time (no network
+  simulation: how the dynamic strategy prices a candidate);
+* :func:`~repro.core.redistribution.plan_redistribution` — the same plus
+  hop-bytes and the measured (simulated) time for one adaptation point;
 * :class:`~repro.core.reallocator.ProcessorReallocator` — the end-to-end
   driver gluing predictor, strategy and redistribution planning together.
 """
@@ -22,7 +24,13 @@ from repro.core.diffusion import DiffusionStrategy
 from repro.core.dynamic import DynamicStrategy
 from repro.core.adaptive import AdaptiveResetStrategy, layout_quality
 from repro.core.strategy import ReallocationStrategy
-from repro.core.redistribution import NestMove, RedistributionPlan, plan_redistribution
+from repro.core.redistribution import (
+    NestMove,
+    RedistributionPlan,
+    RedistributionPrediction,
+    plan_redistribution,
+    predict_redistribution,
+)
 from repro.core.reallocator import ProcessorReallocator, StepResult
 from repro.core.metrics import StepMetrics, summarize_improvement
 from repro.core.invariants import (
@@ -43,7 +51,9 @@ __all__ = [
     "DynamicStrategy",
     "NestMove",
     "RedistributionPlan",
+    "RedistributionPrediction",
     "plan_redistribution",
+    "predict_redistribution",
     "ProcessorReallocator",
     "StepResult",
     "StepMetrics",

@@ -8,7 +8,12 @@ predicted redistribution time** wins:
   simultaneously on disjoint rectangles), each nest's time interpolated by
   the :class:`~repro.perfmodel.exectime.ExecTimePredictor`;
 * predicted redistribution time is the §IV-C1 analytical alltoallv model
-  over the retained nests' transfer matrices.
+  over the retained nests' transfer matrices
+  (:func:`~repro.core.redistribution.predict_redistribution`: no network
+  simulation — the candidates are priced, not planned).
+
+The winner's prediction is kept as :attr:`DynamicStrategy.last_prediction`
+so the executed plan reuses its transfer matrices.
 
 The choice history is recorded so the Fig. 12 experiment can report how
 often each method was selected and whether the selection was correct.
@@ -20,7 +25,13 @@ from dataclasses import dataclass
 
 from repro.core.allocation import Allocation
 from repro.core.diffusion import DiffusionStrategy
-from repro.core.redistribution import plan_redistribution
+from repro.core.redistribution import (
+    RedistributionPrediction,
+    # re-exported, not called: perfbench/tracing.py patches
+    # ``repro.core.dynamic.plan_redistribution`` by name
+    plan_redistribution,  # noqa: F401
+    predict_redistribution,
+)
 from repro.core.scratch import ScratchStrategy
 from repro.core.strategy import ReallocationStrategy
 from repro.grid.procgrid import ProcessorGrid
@@ -59,15 +70,27 @@ class DynamicChoice:
 
 @dataclass(frozen=True)
 class CandidateCosts:
-    """Both candidate allocations with their §IV-C predicted costs."""
+    """Both candidate allocations with their §IV-C predicted costs.
+
+    The predictions are ``None`` at the first adaptation point, where
+    nothing is redistributed.
+    """
 
     choice: DynamicChoice
     scratch: Allocation
     diffusion: Allocation
+    scratch_prediction: RedistributionPrediction | None = None
+    diffusion_prediction: RedistributionPrediction | None = None
 
     @property
     def chosen_allocation(self) -> Allocation:
         return self.scratch if self.choice.chosen == "scratch" else self.diffusion
+
+    @property
+    def chosen_prediction(self) -> RedistributionPrediction | None:
+        if self.choice.chosen == "scratch":
+            return self.scratch_prediction
+        return self.diffusion_prediction
 
 
 def predicted_exec_time(
@@ -111,16 +134,15 @@ def predict_candidate_costs(
     scratch_alloc = ScratchStrategy().reallocate(old, weights, grid)
     diffusion_alloc = DiffusionStrategy().reallocate(old, weights, grid)
 
-    def redist_prediction(candidate: Allocation) -> float:
-        if old is None:
-            return 0.0
-        plan = plan_redistribution(old, candidate, nest_sizes, machine, cost)
-        return plan.predicted_time
-
     s_exec = predicted_exec_time(predictor, scratch_alloc, nest_sizes)
     d_exec = predicted_exec_time(predictor, diffusion_alloc, nest_sizes)
-    s_redist = redist_prediction(scratch_alloc)
-    d_redist = redist_prediction(diffusion_alloc)
+    s_pred: RedistributionPrediction | None = None
+    d_pred: RedistributionPrediction | None = None
+    s_redist = d_redist = 0.0
+    if old is not None:
+        s_pred = predict_redistribution(old, scratch_alloc, nest_sizes, machine, cost)
+        d_pred = predict_redistribution(old, diffusion_alloc, nest_sizes, machine, cost)
+        s_redist, d_redist = s_pred.predicted_time, d_pred.predicted_time
     # Strict inequality: on a predicted tie (frequently the two trees
     # coincide exactly) keep the diffusion allocation, which preserves
     # overlap for free.
@@ -135,6 +157,8 @@ def predict_candidate_costs(
         ),
         scratch=scratch_alloc,
         diffusion=diffusion_alloc,
+        scratch_prediction=s_pred,
+        diffusion_prediction=d_pred,
     )
 
 
@@ -176,6 +200,7 @@ class DynamicStrategy(ReallocationStrategy):
         )
         choice = candidates.choice
         self.history.append(choice)
+        self.last_prediction = candidates.chosen_prediction
         get_flight_recorder().emit(
             "dynamic.choice",
             chosen=choice.chosen,

@@ -129,6 +129,7 @@ class ProcessorReallocator:
                         self.simulator,
                         self.flow_level,
                         link_state=self.link_state,
+                        prediction=self.strategy.last_prediction,
                     )
         for nid in sorted(new_alloc.rects):
             rect = new_alloc.rects[nid]

@@ -9,6 +9,13 @@ quantities the paper reports:
 * **hop-bytes** — byte-weighted hops under the machine's mapping (Fig. 10),
 * **predicted** redistribution time (§IV-C1 analytical model) and
   **measured** time (contention-aware network simulation).
+
+Planning runs in two stages.  :func:`predict_redistribution` is the
+simulator-free half — transfer matrices, messages and the §IV-C1
+prediction — which is all the dynamic strategy needs to price a
+candidate.  :func:`plan_redistribution` adds the measured half (routing,
+bottleneck time, hop-bytes, link-state deltas) and reuses a prediction
+already made for the same ``(old, new)`` pair instead of recomputing it.
 """
 
 from __future__ import annotations
@@ -31,7 +38,13 @@ from repro.perfmodel.redisttime import measure_redistribution_time
 from repro.sanitize.hooks import get_sanitizer
 from repro.topology.machines import MachineSpec
 
-__all__ = ["NestMove", "RedistributionPlan", "plan_redistribution"]
+__all__ = [
+    "NestMove",
+    "RedistributionPlan",
+    "RedistributionPrediction",
+    "plan_redistribution",
+    "predict_redistribution",
+]
 
 
 @dataclass(frozen=True)
@@ -80,6 +93,110 @@ class RedistributionPlan:
         return factor * base
 
 
+@dataclass(frozen=True)
+class RedistributionPrediction:
+    """The simulator-free half of a plan: what moves, and its §IV-C1 cost.
+
+    Remembers the exact inputs it was computed from, so a plan is only
+    ever built on a prediction for its own ``(old, new)`` pair
+    (:meth:`matches`).
+    """
+
+    old: Allocation
+    new: Allocation
+    machine: MachineSpec
+    cost: CostModel
+    #: ``(nx, ny)`` of every retained nest, as used for its decompositions
+    sizes: dict[int, tuple[int, int]]
+    moves: list[NestMove]
+    per_nest_predicted: dict[int, float]
+    predicted_time: float
+    overlap_fraction: float  # point-weighted across retained nests
+
+    def matches(
+        self,
+        old: Allocation,
+        new: Allocation,
+        nest_sizes: dict[int, tuple[int, int]],
+        machine: MachineSpec,
+        cost: CostModel,
+    ) -> bool:
+        """True when this prediction is exactly the one ``old → new`` yields."""
+        return (
+            self.old is old
+            and self.new is new
+            and self.machine is machine
+            and self.cost == cost
+            and all(nest_sizes.get(nid) == size for nid, size in self.sizes.items())
+        )
+
+
+def _emit_round(move: NestMove) -> None:
+    get_flight_recorder().emit(
+        "redist.round",
+        nest=move.nest_id,
+        n_messages=len(move.messages),
+        network_bytes=move.messages.total_bytes,
+        overlap=move.transfer.overlap_fraction,
+    )
+
+
+def predict_redistribution(
+    old: Allocation,
+    new: Allocation,
+    nest_sizes: dict[int, tuple[int, int]],
+    machine: MachineSpec,
+    cost: CostModel,
+) -> RedistributionPrediction:
+    """Transfer matrices, messages and §IV-C1 predicted time of ``old → new``.
+
+    Needs no network simulator: nothing is routed and no link is loaded.
+    Every evaluation emits one ``redist.round`` flight event per retained
+    nest and, when a sanitizer is armed, has its transfer matrices
+    conservation-checked.
+    """
+    recorder = get_recorder()
+    retained = sorted(set(old.rects) & set(new.rects))
+    moves: list[NestMove] = []
+    sizes: dict[int, tuple[int, int]] = {}
+    per_nest_predicted: dict[int, float] = {}
+    total_points = 0
+    local_points = 0
+    for nid in retained:
+        if nid not in nest_sizes:
+            raise KeyError(f"no size recorded for retained nest {nid}")
+        nx, ny = nest_sizes[nid]
+        sizes[nid] = (nx, ny)
+        with recorder.span("redist.transfer_matrix", nest=nid):
+            t = transfer_matrix(
+                old.decomposition(nid, nx, ny),
+                new.decomposition(nid, nx, ny),
+                old.grid.px,
+            )
+            msgs = messages_from_transfer(t, cost.bytes_per_point)
+        move = NestMove(nest_id=nid, transfer=t, messages=msgs)
+        moves.append(move)
+        per_nest_predicted[nid] = predict_alltoallv_time(msgs, machine, cost)
+        total_points += t.total_points
+        local_points += t.local_points
+        _emit_round(move)
+    prediction = RedistributionPrediction(
+        old=old,
+        new=new,
+        machine=machine,
+        cost=cost,
+        sizes=sizes,
+        moves=moves,
+        per_nest_predicted=per_nest_predicted,
+        predicted_time=sum(per_nest_predicted.values()),
+        overlap_fraction=local_points / total_points if total_points else 1.0,
+    )
+    sanitizer = get_sanitizer()
+    if sanitizer.enabled:
+        sanitizer.after_prediction(prediction, nest_sizes)
+    return prediction
+
+
 def plan_redistribution(
     old: Allocation,
     new: Allocation,
@@ -90,6 +207,7 @@ def plan_redistribution(
     flow_level: bool = False,
     kernels: str = DEFAULT_KERNELS,
     link_state: LinkLoadState | None = None,
+    prediction: RedistributionPrediction | None = None,
 ) -> RedistributionPlan:
     """Plan and cost the redistribution from ``old`` to ``new``.
 
@@ -97,6 +215,12 @@ def plan_redistribution(
     size.  Nests only in ``old`` (deleted) or only in ``new`` (created; their
     initial data is interpolated from the parent, not redistributed) move no
     data, exactly as in the paper.
+
+    ``prediction`` (optional) is a :func:`predict_redistribution` result
+    to build on instead of recomputing the transfer matrices.  It is used
+    only when it :meth:`~RedistributionPrediction.matches` exactly these
+    arguments and is ignored otherwise.  Either way the plan emits its
+    own ``redist.round`` events.
 
     ``kernels`` selects the network-accounting implementation when no
     ``simulator`` is supplied (a passed-in simulator keeps its own mode);
@@ -113,44 +237,20 @@ def plan_redistribution(
     from-scratch rebuild.
     """
     check_kernels(kernels)
+    if prediction is not None and prediction.matches(
+        old, new, nest_sizes, machine, cost
+    ):
+        for move in prediction.moves:
+            _emit_round(move)
+    else:
+        prediction = predict_redistribution(old, new, nest_sizes, machine, cost)
     simulator = simulator or NetworkSimulator(machine.mapping, cost, kernels=kernels)
     recorder = get_recorder()
-    retained = sorted(set(old.rects) & set(new.rects))
-    moves: list[NestMove] = []
-    per_nest_msgs: list[MessageSet] = []
-    total_points = 0
-    local_points = 0
-    for nid in retained:
-        if nid not in nest_sizes:
-            raise KeyError(f"no size recorded for retained nest {nid}")
-        nx, ny = nest_sizes[nid]
-        with recorder.span("redist.transfer_matrix", nest=nid):
-            t = transfer_matrix(
-                old.decomposition(nid, nx, ny),
-                new.decomposition(nid, nx, ny),
-                old.grid.px,
-            )
-            msgs = messages_from_transfer(t, cost.bytes_per_point)
-        moves.append(NestMove(nest_id=nid, transfer=t, messages=msgs))
-        per_nest_msgs.append(msgs)
-        total_points += t.total_points
-        local_points += t.local_points
-        get_flight_recorder().emit(
-            "redist.round",
-            nest=nid,
-            n_messages=len(msgs),
-            network_bytes=msgs.total_bytes,
-            overlap=t.overlap_fraction,
-        )
-
+    moves = list(prediction.moves)
+    per_nest_msgs = [m.messages for m in moves]
     with recorder.span("redist.cost", n_moves=len(moves)):
         all_msgs = MessageSet.concat(per_nest_msgs)
         hb_total, hb_avg = hop_bytes(all_msgs, machine.mapping)
-        per_nest_predicted = {
-            nid: predict_alltoallv_time(m, machine, cost)
-            for nid, m in zip(retained, per_nest_msgs)
-        }
-        predicted = sum(per_nest_predicted.values())
         # Each nest is routed once: the same link loads time its collective
         # here and charge the live link state below.
         per_nest_loads = (
@@ -167,23 +267,22 @@ def plan_redistribution(
                 simulator.bottleneck_time(m, link_loads=loads)
                 for m, loads in zip(per_nest_msgs, per_nest_loads)
             )
-    overlap = local_points / total_points if total_points else 1.0
     plan = RedistributionPlan(
         moves=moves,
-        predicted_time=predicted,
+        predicted_time=prediction.predicted_time,
         measured_time=measured,
         hop_bytes_total=hb_total,
         hop_bytes_avg=hb_avg,
-        overlap_fraction=overlap,
+        overlap_fraction=prediction.overlap_fraction,
         network_bytes=all_msgs.total_bytes,
-        per_nest_predicted=per_nest_predicted,
+        per_nest_predicted=dict(prediction.per_nest_predicted),
     )
     if link_state is not None:
         with recorder.span("redist.link_state", n_moves=len(moves)):
             for nid in sorted(set(old.rects) - set(new.rects)):
                 link_state.retire(nid)
-            for nid, msgs, loads in zip(retained, per_nest_msgs, per_nest_loads):
-                link_state.update(nid, msgs, loads)
+            for move, loads in zip(moves, per_nest_loads):
+                link_state.update(move.nest_id, move.messages, loads)
     sanitizer = get_sanitizer()
     if sanitizer.enabled:
         sanitizer.after_plan(plan, nest_sizes)

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import abc
 import math
+from typing import TYPE_CHECKING
 
 from repro.core.allocation import Allocation
 from repro.grid.procgrid import ProcessorGrid
 from repro.util.validation import check_type
+
+if TYPE_CHECKING:
+    from repro.core.redistribution import RedistributionPrediction
 
 __all__ = ["ReallocationStrategy"]
 
@@ -17,6 +21,12 @@ class ReallocationStrategy(abc.ABC):
 
     #: short name used in reports ("scratch", "diffusion", "dynamic")
     name: str = "abstract"
+
+    #: the redistribution prediction a strategy made for the allocation its
+    #: last :meth:`reallocate` returned, if it made one (the dynamic strategy
+    #: prices its candidates); the reallocator's plan reuses it when it
+    #: matches that plan's ``(old, new)`` pair exactly
+    last_prediction: RedistributionPrediction | None = None
 
     @abc.abstractmethod
     def reallocate(

@@ -5,8 +5,9 @@ adaptation-point hooks defined by
 :class:`~repro.sanitize.hooks.SanitizerHook`:
 
 * **plan conservation** — every move's transfer matrix accounts for each
-  nest point exactly once, local+network points partition, and the
-  plan's ``network_bytes`` equals the sum of its per-move message bytes;
+  nest point exactly once and local+network points partition (checked
+  once per prediction, candidates included), and an executed plan's
+  ``network_bytes`` equals the sum of its per-move message bytes;
 * **store tiling** — after execution/scatter/recovery, each nest's
   blocks tile its grid disjointly (every point stored exactly once,
   every block shaped like its rectangle);
@@ -92,10 +93,13 @@ class Sanitizer(SanitizerHook):
 
     # -- checkpoints -------------------------------------------------------
 
-    def after_plan(self, plan: Any, nest_sizes: dict[int, tuple[int, int]]) -> None:
+    def after_prediction(
+        self, prediction: Any, nest_sizes: dict[int, tuple[int, int]]
+    ) -> None:
+        # Every transfer matrix is checked once, where it is computed: a
+        # plan built on a handed-over prediction reuses checked moves.
         self._ran("plan.conservation")
-        message_bytes = 0.0
-        for move in plan.moves:
+        for move in prediction.moves:
             nx, ny = nest_sizes[move.nest_id]
             got = int(move.transfer.points.sum())
             if got != nx * ny:
@@ -112,7 +116,12 @@ class Sanitizer(SanitizerHook):
                     f"nest {move.nest_id}: local {local} + network {network} "
                     f"!= {nx * ny}",
                 )
-            message_bytes += float(move.messages.total_bytes)
+        if prediction.predicted_time < 0:
+            self._violate("plan.time", "negative predicted redistribution time")
+
+    def after_plan(self, plan: Any, nest_sizes: dict[int, tuple[int, int]]) -> None:
+        self._ran("plan.bytes")
+        message_bytes = sum(float(move.messages.total_bytes) for move in plan.moves)
         if not math.isclose(
             plan.network_bytes, message_bytes, rel_tol=_REL_TOL, abs_tol=1e-6
         ):
@@ -126,8 +135,8 @@ class Sanitizer(SanitizerHook):
                 "plan.overlap",
                 f"overlap fraction {plan.overlap_fraction} outside [0, 1]",
             )
-        if plan.predicted_time < 0 or plan.measured_time < 0:
-            self._violate("plan.time", "negative redistribution time")
+        if plan.measured_time < 0:
+            self._violate("plan.time", "negative measured redistribution time")
 
     def _check_store_tiling(
         self, check: str, store: Any, nest_id: int, nx: int, ny: int

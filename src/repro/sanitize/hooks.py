@@ -1,8 +1,9 @@
 """Sanitizer hook surface and activation (import-cycle-free).
 
-This module is imported by the hot core paths (`plan_redistribution`,
-the dataplane, tree edits), so it imports **nothing** from the rest of
-the library — just ``os`` and ``contextvars``.  The real checks live in
+This module is imported by the hot core paths (`predict_redistribution`,
+`plan_redistribution`, the dataplane, tree edits), so it imports
+**nothing** from the rest of the library — just ``os`` and
+``contextvars``.  The real checks live in
 :mod:`repro.sanitize.checks` and are loaded lazily, only when a
 sanitizer is actually activated.
 
@@ -51,6 +52,11 @@ class SanitizerHook:
     """
 
     enabled = False
+
+    def after_prediction(
+        self, prediction: Any, nest_sizes: dict[int, tuple[int, int]]
+    ) -> None:
+        """After ``predict_redistribution`` built ``prediction``."""
 
     def after_plan(self, plan: Any, nest_sizes: dict[int, tuple[int, int]]) -> None:
         """After ``plan_redistribution`` returns ``plan``."""
